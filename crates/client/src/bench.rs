@@ -258,7 +258,16 @@ pub fn run_bench<T: Transport>(transport: &mut T, cfg: &BenchConfig) -> io::Resu
         if !measuring && all_done {
             break;
         }
-        transport.wait(Some(now + 500));
+        // Sleep until the next think or hold deadline, or the end of the
+        // current phase; a server reply wakes the transport sooner.
+        let next = vcs
+            .iter()
+            .filter_map(|vc| match vc.state {
+                VcState::Thinking { until } | VcState::Holding { until, .. } => Some(until),
+                _ => None,
+            })
+            .fold(if measuring { end } else { hard_stop }, u64::min);
+        transport.wait(Some(next));
     }
 
     let duration_us = transport

@@ -19,15 +19,19 @@
 //!
 //! Semantics contract, shared by all implementations:
 //!
-//! * [`Conn::send_bytes`] never blocks: bytes the kernel (or pipe) will not
-//!   take immediately are buffered inside the connection and pushed by
-//!   [`Conn::flush`]. An error means the connection is **dead** — no
+//! * [`Conn::send_bytes`] never blocks: the connection queues the bytes
+//!   and delivers them in order by itself (the socket transports through
+//!   a writer thread, the loopback through its pipe). An error from it or
+//!   from [`Conn::flush`] means the connection is **dead** — no
 //!   partial-failure recovery is attempted at this layer; the reliable
 //!   transport above retransmits whatever mattered.
 //! * [`Conn::recv_bytes`] appends whatever bytes are available *now* and
 //!   returns how many. `Ok(0)` means "nothing yet"; an error (including
 //!   [`std::io::ErrorKind::UnexpectedEof`] on a clean peer close) means the
 //!   connection is dead.
+//! * Dropping a connection closes it after the bytes already sent: the
+//!   peer reads all of them, then `UnexpectedEof`. The socket transports
+//!   give a peer that has stopped reading one second.
 //! * [`Listener::poll_accept`] returns at most one new connection per call,
 //!   `None` when nobody is knocking.
 //! * [`Transport::now_us`] is a monotone clock in microseconds — wall time
@@ -38,9 +42,8 @@ use std::io;
 
 /// One bidirectional byte-stream connection.
 pub trait Conn {
-    /// Queues `bytes` for transmission, writing through as much as the
-    /// underlying stream accepts without blocking. An error means the
-    /// connection is dead and must be dropped.
+    /// Queues `bytes` for transmission without blocking. An error means
+    /// the connection is dead and must be dropped.
     fn send_bytes(&mut self, bytes: &[u8]) -> io::Result<()>;
 
     /// Appends all currently available incoming bytes to `buf`, returning
@@ -49,8 +52,9 @@ pub trait Conn {
     /// [`std::io::ErrorKind::UnexpectedEof`]).
     fn recv_bytes(&mut self, buf: &mut Vec<u8>) -> io::Result<usize>;
 
-    /// Pushes previously buffered outgoing bytes toward the peer. An error
-    /// means the connection is dead.
+    /// Pushes queued outgoing bytes toward the peer where the connection
+    /// does not do so by itself, and reports whether it still can. An
+    /// error means the connection is dead.
     fn flush(&mut self) -> io::Result<()>;
 
     /// Human-readable peer address, for logs and diagnostics.
@@ -95,10 +99,12 @@ pub trait Transport {
     /// Monotone clock, microseconds.
     fn now_us(&mut self) -> u64;
 
-    /// Lets time pass until roughly `until` (microseconds on this
-    /// transport's clock), or until something might be ready. The socket
-    /// transports sleep in small bounded slices (they cannot be notified);
-    /// the loopback advances the shared virtual clock to the next event.
-    /// `None` means "no deadline" — wait one polling slice.
+    /// Lets time pass until `until` (microseconds on this transport's
+    /// clock), or until a connection or listener this transport created
+    /// has news, whichever comes first. The socket transports sleep on a
+    /// readiness flag their I/O threads raise (see [`crate::tcp`]); the
+    /// loopback advances the shared virtual clock to the next event.
+    /// `None` means "no deadline": return after at most one short polling
+    /// slice.
     fn wait(&mut self, until: Option<u64>);
 }

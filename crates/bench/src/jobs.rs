@@ -1,11 +1,10 @@
-//! `--jobs` flag handling shared by the experiment binaries.
+//! `--jobs` flag handling for the `benchjson` binary.
 
 /// Applies a `--jobs N` argument (if present in `args`) to the
 /// process-wide worker count used by the experiment fan-out, returning
 /// the effective value. `--jobs 0` (and absence) means auto-detect.
 ///
-/// The experiment binaries take no other arguments, so unknown flags are
-/// left alone for forward compatibility rather than rejected.
+/// Every other argument is left alone for the caller to parse.
 pub fn apply_jobs_flag<I: IntoIterator<Item = String>>(args: I) -> usize {
     let args: Vec<String> = args.into_iter().collect();
     for pair in args.windows(2) {

@@ -428,8 +428,8 @@ pub fn execute(cli: &Cli) -> Result<String, String> {
         Command::Experiment { name, jobs } => {
             use qmx_bench::experiments as e;
             qmx_workload::parallel::set_jobs(*jobs);
-            Ok(match name.as_str() {
-                "table1" => [9usize, 25]
+            let report = match name.as_str() {
+                "table1" => [9usize, 25, 49]
                     .iter()
                     .map(|&n| e::table1(n))
                     .collect::<Vec<_>>()
@@ -450,7 +450,8 @@ pub fn execute(cli: &Cli) -> Result<String, String> {
                 "abortavail" => e::abort_availability(),
                 "lockspace" => e::lockspace_scaling(),
                 other => return Err(format!("unknown experiment '{other}'")),
-            })
+            };
+            Ok(report + "\n")
         }
         Command::Serve {
             site,

@@ -5,11 +5,8 @@
 //!
 //! * [`core`] — [`ClientCore`], the sans-I/O-scheduling client state
 //!   machine: poll-driven, transport-agnostic, no blocking, no clocks of
-//!   its own. This is the piece both the tests (over the loopback) and
-//!   the blocking wrapper (over TCP/UDS) share.
-//! * [`blocking`] — [`BlockingClient`], a thin convenience wrapper that
-//!   loops `poll`/`Transport::wait` until an operation resolves; what
-//!   `qmxctl bench-load` and short scripts use against real sockets.
+//!   its own. It is the one client path: the tests drive it over the
+//!   loopback, and `qmxctl bench-load` over TCP/UDS.
 //! * [`mod@bench`] — the open-loop load engine behind `qmxctl bench-load`:
 //!   many virtual clients over one poll loop, exponential think times,
 //!   zipfian resource choice, per-resource acquire-latency percentiles
@@ -23,11 +20,9 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod blocking;
 pub mod core;
 pub mod harness;
 
 pub use self::core::{ClientCore, ClientEvent};
 pub use bench::{run_bench, BenchConfig};
-pub use blocking::{AcquireOutcome, BlockingClient};
 pub use harness::{ClusterConfig, LoopCluster};

@@ -10,16 +10,13 @@
 //! eventually has the globally smallest timestamp.
 
 use crate::protocol::SiteId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A Lamport sequence number.
 ///
 /// Wrapped in a newtype so that sequence numbers cannot be confused with
 /// site identifiers or simulation ticks.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SeqNum(pub u64);
 
 impl fmt::Display for SeqNum {
@@ -48,7 +45,7 @@ impl From<u64> for SeqNum {
 /// assert!(a < b); // smaller seq wins regardless of site number
 /// assert!(a < c); // equal seq: smaller site number wins
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Timestamp {
     /// Lamport sequence number of the request.
     pub seq: SeqNum,
@@ -92,7 +89,7 @@ impl fmt::Display for Timestamp {
 /// clock.observe(SeqNum(10));
 /// assert_eq!(clock.tick(), SeqNum(11));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LamportClock {
     last: u64,
 }

@@ -27,7 +27,7 @@
 //!   time ([`clock`]).
 //! * [`Protocol`], [`Effects`], [`MsgKind`] — the event-driven state-machine
 //!   interface every algorithm implements; drivers (the discrete-event
-//!   simulator in `qmx-sim`, the threaded runtime in `qmx-runtime`) are
+//!   simulator in `qmx-sim`, the networked runtime in `qmx-runtime`) are
 //!   generic over it ([`protocol`]).
 //! * [`DelayOptimal`], [`Msg`], [`Config`] — the paper's algorithm
 //!   ([`delay_optimal`]).

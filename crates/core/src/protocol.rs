@@ -12,9 +12,8 @@
 //!
 //! Keeping algorithms free of I/O and time makes them unit-testable
 //! step-by-step and lets the same implementation run deterministically under
-//! simulation and live over threads.
+//! simulation and live over sockets.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -22,9 +21,7 @@ use std::fmt;
 ///
 /// Sites are numbered `0..N`. The numeric order participates in request
 /// priority (ties on sequence numbers are broken by the smaller site id).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SiteId(pub u32);
 
 impl SiteId {

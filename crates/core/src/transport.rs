@@ -698,7 +698,7 @@ impl<P: Protocol + fmt::Debug> fmt::Debug for Reliable<P> {
 ///
 /// Decision logic only — drivers feed uniform samples from their own seeded
 /// RNGs through [`LinkFaults::decide`], so the same model produces the same
-/// fault distribution under the simulator and the threaded runtime.
+/// fault distribution wherever it is used.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LossModel {
     /// Perfect links (the paper's §2 channel model).

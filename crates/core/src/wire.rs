@@ -10,9 +10,8 @@
 //! connection that produced it gets dropped by the runtime; nothing here may
 //! take the site task down.
 //!
-//! The build environment vendors `serde` as a derive-only stand-in with no
-//! data formats, so the codec is written out by hand for exactly the message
-//! types the live stack sends:
+//! The workspace has no serialization framework, so the codec is written
+//! out by hand for exactly the message types the live stack sends:
 //! [`HbMsg`]`<`[`Packet`]`<`[`ResMsg`]`<`[`Msg`]`>>>` and its layers, plus
 //! the primitives they are built from. Each impl is a direct transcription
 //! of the struct/enum definition; round-trip tests pin every variant.

@@ -1,20 +1,14 @@
 //! # qmx-runtime
 //!
-//! Networked runtime for `qmx` protocols, in two generations:
+//! Networked runtime for `qmx` protocols: a poll-driven task per site
+//! ([`Node`]) speaking length-prefixed [`Wire`](qmx_core::Wire) frames over
+//! a swappable byte [`transport`] — real [TCP / Unix-domain sockets](tcp)
+//! for `qmxctl serve`, or the deterministic in-process [loopback] with a
+//! virtual clock for `cargo test`. Sites serve real clients (see
+//! `qmx-client`) and each other over the same framing; the protocol stack
+//! ([`ServeStack`]) is byte-identical in both modes.
 //!
-//! * **Socket runtime** (this PR's main body): a poll-driven task per site
-//!   ([`Node`]) speaking length-prefixed [`Wire`](qmx_core::Wire) frames
-//!   over a swappable byte [`transport`] — real [TCP / Unix-domain
-//!   sockets](tcp) for `qmxctl serve`, or the deterministic in-process
-//!   [loopback] with a virtual clock for `cargo test`. Sites
-//!   serve real clients (see `qmx-client`) and each other over the same
-//!   framing; the protocol stack ([`ServeStack`]) is byte-identical in
-//!   both modes.
-//! * **Thread-per-site channel runtime** ([`net`]): the earlier
-//!   crossbeam-channel harness with a shared mutual-exclusion monitor,
-//!   kept as a stress-oriented reference driver.
-//!
-//! Layering of the socket runtime, bottom to top:
+//! Layering, bottom to top:
 //!
 //! 1. [`transport`] — `Conn`/`Listener`/`Transport` traits (the seam).
 //! 2. [`frame`] — `[u32 LE len][payload]` framing with a hard cap.
@@ -28,9 +22,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub mod frame;
 pub mod loopback;
-pub mod net;
 pub mod node;
 pub mod proto;
 pub mod stack;
@@ -39,9 +34,14 @@ pub mod transport;
 
 pub use frame::{write_frame, FrameBuf, FrameError, MAX_FRAME};
 pub use loopback::{LoopConn, LoopListener, LoopNet, LoopTransport};
-pub use net::{messages_per_cs, run_cluster, NetOptions, RunOutcome};
 pub use node::{Node, NodeConfig, NodeCounters};
 pub use proto::{ClientMsg, Hello, RejectReason, ServerMsg};
 pub use stack::{build_stack, RingMajoritySource, ServeMsg, ServeStack, StackConfig};
 pub use tcp::{StreamConn, TcpTransport, UdsTransport};
 pub use transport::{Conn, Listener, Transport};
+
+/// Locks `m`, ignoring poisoning: no update made under these locks can
+/// leave the data half-changed, and `Drop` must not panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

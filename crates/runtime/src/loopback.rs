@@ -20,10 +20,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
+use crate::lock;
 use crate::transport::{Conn, Listener, Transport};
 
 /// One timed burst of bytes in flight on a pipe direction.
@@ -120,12 +119,12 @@ impl LoopNet {
 
     /// Current virtual time in microseconds.
     pub fn now(&self) -> u64 {
-        self.inner.lock().now
+        lock(&self.inner).now
     }
 
     /// Advances the virtual clock. Going backwards is a harness bug.
     pub fn advance_to(&self, t: u64) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         assert!(
             t >= g.now,
             "virtual clock must be monotone ({} -> {t})",
@@ -136,12 +135,12 @@ impl LoopNet {
 
     /// Stamp of the next in-flight delivery or pending accept, if any.
     pub fn next_event(&self) -> Option<u64> {
-        self.inner.lock().next_event()
+        lock(&self.inner).next_event()
     }
 
     /// Changes the one-way latency applied to subsequently written chunks.
     pub fn set_latency(&self, latency_us: u64) {
-        self.inner.lock().latency = latency_us.max(1);
+        lock(&self.inner).latency = latency_us.max(1);
     }
 
     /// A transport handle onto this network, one per node or client.
@@ -173,7 +172,7 @@ impl Conn for LoopConn {
         if bytes.is_empty() {
             return Ok(());
         }
-        let mut g = self.net.inner.lock();
+        let mut g = lock(&self.net.inner);
         let now = g.now;
         let latency = g.latency;
         let p = &mut g.pipes[self.pipe];
@@ -191,7 +190,7 @@ impl Conn for LoopConn {
     }
 
     fn recv_bytes(&mut self, buf: &mut Vec<u8>) -> io::Result<usize> {
-        let mut g = self.net.inner.lock();
+        let mut g = lock(&self.net.inner);
         let now = g.now;
         let p = &mut g.pipes[self.pipe];
         let dir = &mut p.dirs[1 - self.side];
@@ -218,7 +217,7 @@ impl Conn for LoopConn {
 
 impl Drop for LoopConn {
     fn drop(&mut self) {
-        let mut g = self.net.inner.lock();
+        let mut g = lock(&self.net.inner);
         g.pipes[self.pipe].open[self.side] = false;
     }
 }
@@ -234,7 +233,7 @@ impl Listener for LoopListener {
     type Conn = LoopConn;
 
     fn poll_accept(&mut self) -> io::Result<Option<LoopConn>> {
-        let mut g = self.net.inner.lock();
+        let mut g = lock(&self.net.inner);
         let now = g.now;
         let slot = match g.listeners.get_mut(&self.addr) {
             Some(s) if s.gen == self.gen => s,
@@ -265,7 +264,7 @@ impl Listener for LoopListener {
 
 impl Drop for LoopListener {
     fn drop(&mut self) {
-        let mut g = self.net.inner.lock();
+        let mut g = lock(&self.net.inner);
         if g.listeners
             .get(&self.addr)
             .is_some_and(|s| s.gen == self.gen)
@@ -286,7 +285,7 @@ impl Transport for LoopTransport {
     type Listener = LoopListener;
 
     fn listen(&mut self, addr: &str) -> io::Result<LoopListener> {
-        let mut g = self.net.inner.lock();
+        let mut g = lock(&self.net.inner);
         if g.listeners.contains_key(addr) {
             return Err(io::Error::new(
                 io::ErrorKind::AddrInUse,
@@ -310,7 +309,7 @@ impl Transport for LoopTransport {
     }
 
     fn connect(&mut self, addr: &str) -> io::Result<LoopConn> {
-        let mut g = self.net.inner.lock();
+        let mut g = lock(&self.net.inner);
         if !g.listeners.contains_key(addr) {
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
@@ -345,7 +344,7 @@ impl Transport for LoopTransport {
     fn wait(&mut self, until: Option<u64>) {
         // Standalone use only: the deterministic harness drives the clock
         // itself and never calls this. Jump to the next interesting moment.
-        let mut g = self.net.inner.lock();
+        let mut g = lock(&self.net.inner);
         let mut target = until.unwrap_or(g.now.saturating_add(1_000));
         if let Some(ev) = g.next_event() {
             target = target.min(ev);

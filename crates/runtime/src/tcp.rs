@@ -39,10 +39,11 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use crate::lock;
 use crate::transport::{Conn, Listener, Transport};
 
 /// Longest [`Transport::wait`] blocks without a deadline, so a caller with
@@ -68,12 +69,6 @@ const IO_STACK: usize = 64 * 1024;
 /// Pause of an accept thread after a failed accept (out of descriptors or
 /// threads, say), so that a lasting error does not spin.
 const ACCEPT_RETRY: Duration = Duration::from_millis(10);
-
-/// Locks `m`, ignoring poisoning: no update made under these locks can
-/// leave the data half-changed, and `Drop` must not panic.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn spawn_io(name: &str, body: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
     thread::Builder::new()

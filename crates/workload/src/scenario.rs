@@ -1,6 +1,6 @@
 //! Scenario runner: pick an algorithm, a quorum construction, a workload —
-//! get a [`RunReport`]. This is the engine behind every experiment binary
-//! in `qmx-bench`.
+//! get a [`RunReport`]. This is the engine behind every experiment in
+//! `qmx-bench`.
 
 use crate::arrival::{ArrivalProcess, ResourceArrival, ResourceMix};
 use crate::stats::RunReport;

@@ -18,11 +18,9 @@
 //! * [`qmx_runtime`] — the networked runtime: framed transport seam
 //!   (loopback, TCP, UDS) and the poll-driven per-site
 //!   [`Node`](qmx_runtime::node::Node) event loop.
-//! * [`qmx_client`] — client library (poll-driven core, blocking
-//!   wrapper), the deterministic loopback cluster harness, and the
-//!   open-loop bench engine.
-//! * [`qmx_replica`] — replicated data management (read/write
-//!   quorums with writes serialized by the mutex).
+//! * [`qmx_client`] — client library (the poll-driven
+//!   [`ClientCore`](qmx_client::ClientCore)), the deterministic loopback
+//!   cluster harness, and the open-loop bench engine.
 //! * [`qmx_check`] — bounded exhaustive model checker.
 //!
 //! See the repository `README.md` for a guided tour and `EXPERIMENTS.md` for
@@ -35,7 +33,6 @@ pub use qmx_check as check;
 pub use qmx_client as client;
 pub use qmx_core as core;
 pub use qmx_quorum as quorum;
-pub use qmx_replica as replica;
 pub use qmx_runtime as runtime;
 pub use qmx_sim as sim;
 pub use qmx_workload as workload;

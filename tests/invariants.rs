@@ -123,9 +123,9 @@ fn invariants_hold_after_crash_and_partition() {
 
 #[test]
 fn invariants_hold_in_the_threaded_runtime_outcome() {
-    // The live runtime consumes the sites; validate indirectly by running
-    // the same workload under the sim and checking, then trusting the
-    // shared state machine. (The runtime's own monitor covers safety.)
+    // The name predates the removal of the thread-per-site harness; this
+    // is a plain sim run. Every site of a 9-site grid requests once, 10
+    // ticks apart, and every site's state is checked at quiescence.
     let mut sim = grid_sim(9, SimConfig::default());
     for i in 0..9u32 {
         sim.schedule_request(SiteId(i), u64::from(i) * 10);

@@ -8,6 +8,7 @@
 
 use qmx_client::{ClientEvent, ClusterConfig, LoopCluster};
 use qmx_core::ResourceId;
+use qmx_runtime::node::NodeCounters;
 use qmx_runtime::proto::RejectReason;
 
 /// Pulls the next event of `handle`, running time forward until one
@@ -51,6 +52,23 @@ fn release_acked(cluster: &mut LoopCluster, handle: usize, rid: u32, req: u64) {
             assert_eq!((r, q), (ResourceId(rid), req));
         }
         other => panic!("expected Released on rid {rid}, got {other:?}"),
+    }
+}
+
+/// Clients `a` and `b` take turns on `rid` for `rounds` rounds: each
+/// round `b` asks while `a` holds, and is granted only after `a` releases.
+fn take_turns(cluster: &mut LoopCluster, a: usize, b: usize, rid: u32, rounds: u32) {
+    for round in 0..rounds {
+        let ra = acquire_granted(cluster, a, rid);
+        let rb = cluster.client(b).acquire(ResourceId(rid), None);
+        cluster.run_for(100_000);
+        assert!(cluster.events(b).is_empty(), "round {round}: early grant");
+        release_acked(cluster, a, rid, ra);
+        match wait_event(cluster, b, 5_000_000) {
+            ClientEvent::Granted { rid: r, req } => assert_eq!((r, req), (ResourceId(rid), rb)),
+            other => panic!("round {round}: expected grant, got {other:?}"),
+        }
+        release_acked(cluster, b, rid, rb);
     }
 }
 
@@ -262,19 +280,36 @@ fn forwarding_off_still_correct_under_contention() {
     expect_welcome(&mut cluster, a);
     expect_welcome(&mut cluster, b);
 
-    for round in 0..3 {
-        let ra = acquire_granted(&mut cluster, a, 4);
-        let rb = cluster.client(b).acquire(ResourceId(4), None);
-        cluster.run_for(100_000);
-        assert!(cluster.events(b).is_empty(), "round {round}: early grant");
-        release_acked(&mut cluster, a, 4, ra);
-        match wait_event(&mut cluster, b, 5_000_000) {
-            ClientEvent::Granted { rid, req } => {
-                assert_eq!((rid, req), (ResourceId(4), rb))
-            }
-            other => panic!("round {round}: expected grant, got {other:?}"),
-        }
-        release_acked(&mut cluster, b, 4, rb);
-    }
+    take_turns(&mut cluster, a, b, 4, 3);
     assert_eq!(cluster.counters(0).grants + cluster.counters(1).grants, 6);
+}
+
+#[test]
+fn single_site_serves_alternating_clients() {
+    // One site is its own quorum: every grant is local, no peer link is
+    // ever dialled, and the only frames are the two client sessions'.
+    let mut cluster = LoopCluster::new(ClusterConfig::ring_majority(1));
+    cluster.run_for(50_000);
+
+    let a = cluster.add_client(0);
+    let b = cluster.add_client(0);
+    expect_welcome(&mut cluster, a);
+    expect_welcome(&mut cluster, b);
+
+    take_turns(&mut cluster, a, b, 0, 3);
+
+    // In: 2 hellos, 6 acquires, 6 releases. Out: 2 welcomes, 6 grants,
+    // 6 release acks.
+    assert_eq!(
+        cluster.counters(0),
+        NodeCounters {
+            frames_in: 14,
+            frames_out: 14,
+            sessions_opened: 2,
+            grants: 6,
+            releases: 6,
+            ..NodeCounters::default()
+        }
+    );
+    assert!(cluster.node(0).unwrap().quiescent());
 }

@@ -3,9 +3,20 @@
 //! is the per-packet bookkeeping (sequence windows, pending queues, the
 //! `Arc`-shared payloads), so throughput is reported in protocol messages
 //! delivered per second.
+//!
+//! The `detector` group times the heartbeat path of the wrapper stack
+//! over the same transport: one site of a 25-site full mesh receiving a
+//! beat round, and its `next_timer()` query, which both drivers issue
+//! after every event or poll.
+
+use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use qmx_core::{LossModel, TransportConfig};
+use qmx_core::{
+    Config, DelayOptimal, Detector, DetectorConfig, Effects, HbMsg, LossModel, Protocol, Reliable,
+    SiteId, TransportConfig,
+};
+use qmx_quorum::GridQuorumSource;
 use qmx_sim::DelayModel;
 use qmx_workload::arrival::ArrivalProcess;
 use qmx_workload::scenario::{Algorithm, QuorumSpec, Scenario};
@@ -50,5 +61,78 @@ fn bench_retransmit(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_retransmit);
+/// Sites of the heartbeat mesh, as in perfbench's sim-faults.
+const MESH: u32 = 25;
+
+type Stack = Detector<Reliable<DelayOptimal>>;
+
+/// Site 0 of the mesh, started, with a request out so its transport
+/// holds unacked packets to its grid quorum.
+fn mesh_site() -> Stack {
+    let me = SiteId(0);
+    let algo = DelayOptimal::with_quorum_source(
+        me,
+        Config::default(),
+        Box::new(GridQuorumSource::new(MESH as usize)),
+    );
+    let peers = (1..MESH).map(SiteId).collect();
+    let mut site = Detector::new(
+        Reliable::new(algo, TransportConfig::default()),
+        peers,
+        DetectorConfig::default(),
+    );
+    let mut fx = Effects::new();
+    site.on_start(&mut fx);
+    site.request_cs(&mut fx);
+    site
+}
+
+/// One beat from every peer, each vouching for every site but itself.
+fn beat_round() -> Vec<(SiteId, <Stack as Protocol>::Msg)> {
+    (1..MESH)
+        .map(|from| {
+            let beat = HbMsg::Beat {
+                alive: (0..MESH).filter(|&s| s != from).map(SiteId).collect(),
+                suspects_you: false,
+            };
+            (SiteId(from), beat)
+        })
+        .collect()
+}
+
+fn bench_detector(c: &mut Criterion) {
+    const ROUNDS: u64 = 1_000;
+    const QUERIES: u64 = 100_000;
+    let mut g = c.benchmark_group("detector");
+    let round = beat_round();
+    let mut site = mesh_site();
+    let mut fx = Effects::new();
+    let mut now = 0;
+    g.throughput(Throughput::Elements(ROUNDS));
+    g.bench_function("beat_round_n25", |b| {
+        b.iter(|| {
+            for _ in 0..ROUNDS {
+                now += DetectorConfig::default().hb_interval;
+                site.set_now(now);
+                for (from, beat) in &round {
+                    site.handle(*from, beat.clone(), &mut fx);
+                }
+            }
+            assert!(fx.take_sends().is_empty(), "a quiet round sends nothing");
+        })
+    });
+    assert!(site.suspected().is_empty(), "every peer kept beating");
+    assert!(site.next_timer().is_some());
+    g.throughput(Throughput::Elements(QUERIES));
+    g.bench_function("next_timer_n25", |b| {
+        b.iter(|| {
+            for _ in 0..QUERIES {
+                black_box(black_box(&site).next_timer());
+            }
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_retransmit, bench_detector);
 criterion_main!(benches);

@@ -49,8 +49,9 @@
 //! as evidence the sender is alive.
 
 use crate::protocol::{Effects, MsgKind, MsgMeta, Protocol, ResourceId, SiteId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Failure-detector timing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +176,9 @@ pub enum HbMsg<M> {
         /// others, and reclaiming its locks would break mutual exclusion.
         /// Only direct evidence is forwarded (no transitive chains), so
         /// vouches for a genuinely crashed site dry up within one timeout.
-        alive: Vec<SiteId>,
+        /// One list is built per beat round and shared by every beat in
+        /// it; on the wire it is an ordinary length-prefixed sequence.
+        alive: Arc<[SiteId]>,
         /// Suspicion echo: whether the sender currently suspects the
         /// *recipient*. A site that receives `true` from a peer it hears
         /// fine has detected an asymmetric partition (the peer cannot
@@ -209,49 +212,76 @@ impl<M: MsgMeta> MsgMeta for HbMsg<M> {
     }
 }
 
+/// What a [`Detector`] knows about one site.
+#[derive(Debug, Clone, Copy, Default)]
+struct PeerState {
+    /// Whether the site is in `peers`: beaten, and suspected on silence.
+    monitored: bool,
+    /// Last time the site was heard from (any delivered message counts).
+    last_heard: u64,
+    /// Currently suspected.
+    suspected: bool,
+    /// Suspected reciprocally (persistent suspicion echo — see
+    /// [`DetectorCounters::reciprocal_suspicions`]). Such a site is heard
+    /// from constantly, so its suspicion is withdrawn by its echo clearing
+    /// or a rejoin, never by mere hearing.
+    reciprocal: bool,
+    /// Deadline after which a still-silent suspect's failure is confirmed
+    /// (escalated to the inner protocol's definitive `on_site_failure`).
+    /// Set only while the site is suspected but unconfirmed.
+    confirm_at: Option<u64>,
+    /// Last time a third party's beat vouched for the site (indirect
+    /// liveness evidence; gates confirmation, never suspicion).
+    indirect_heard: Option<u64>,
+    /// Last time an out-of-schedule echo-reply beat was sent to the site
+    /// (rate limit: at most one per `hb_interval`).
+    last_echo: Option<u64>,
+    /// Start of the current uninterrupted run of suspicion echoes from the
+    /// site; cleared by any beat whose echo flag is off.
+    echoed_since: Option<u64>,
+    /// Highest rejoin incarnation processed for the site (0 = none), for
+    /// deduplicating re-broadcast announcements of the same restart.
+    last_rejoin_inc: u64,
+}
+
+impl PeerState {
+    /// Whether the site has been silent for at least `hb_timeout` at `now`.
+    fn silent(&self, hb_timeout: u64, now: u64) -> bool {
+        self.last_heard + hb_timeout <= now
+    }
+}
+
 /// Heartbeat failure detector layered over an inner [`Protocol`].
 ///
 /// See the [module documentation](self) for semantics. `peers` is the set
 /// of sites monitored and beaten — normally every other site in the system,
 /// independent of the inner protocol's quorum (quorums may be
 /// reconstructed, but liveness monitoring is global).
+///
+/// Per-site state lives in one flat table indexed by [`SiteId`], sized to
+/// the largest peer, so a received beat costs O(1) per vouched site and
+/// [`Protocol::next_timer`] — which drivers call after every event — is
+/// one contiguous scan. The table grows to cover a site outside `peers`
+/// once that site beats, announces a rejoin, or is named by an oracle
+/// notice. Nothing the detector decides depends on such a site before
+/// then: it is never timed for silence, its application traffic is not
+/// recorded, and vouches for it are dropped. Memory stays O(largest site
+/// id), not O(any id a peer names).
 #[derive(Clone)]
 pub struct Detector<P: Protocol> {
     inner: P,
     cfg: DetectorConfig,
+    /// Monitored sites, in beat order.
     peers: Vec<SiteId>,
     now: u64,
     /// Time of the next heartbeat round.
     next_beat: u64,
-    /// Last time each peer was heard from (any delivered message counts).
-    last_heard: BTreeMap<SiteId, u64>,
-    /// Currently suspected peers.
-    suspected: BTreeSet<SiteId>,
-    /// Deadline after which a still-silent suspect's failure is confirmed
-    /// (escalated to the inner protocol's definitive `on_site_failure`).
-    /// Entries exist only for suspected-but-unconfirmed peers.
-    confirm_at: BTreeMap<SiteId, u64>,
-    /// Last time each peer was vouched for by a third party's beat
-    /// (indirect liveness evidence; gates confirmation, never suspicion).
-    indirect_heard: BTreeMap<SiteId, u64>,
-    /// Last time an out-of-schedule echo-reply beat was sent per peer
-    /// (rate limit: at most one per `hb_interval`).
-    last_echo: BTreeMap<SiteId, u64>,
-    /// Peers suspected reciprocally (persistent suspicion echo — see
-    /// [`DetectorCounters::reciprocal_suspicions`]). A member is heard
-    /// from constantly, so its suspicion is withdrawn by the peer's echo
-    /// clearing or a rejoin, never by mere hearing.
-    reciprocal: BTreeSet<SiteId>,
-    /// Start of the current uninterrupted run of suspicion echoes per
-    /// peer; cleared by any beat whose echo flag is off.
-    echoed_since: BTreeMap<SiteId, u64>,
+    /// Per-site state, indexed by `SiteId`.
+    by_site: Vec<PeerState>,
     /// End of the post-recovery grace window, when open.
     rejoin_until: Option<u64>,
     /// This site's boot counter, stamped into outgoing `Rejoin`s.
     incarnation: u64,
-    /// Highest rejoin incarnation processed per peer, for deduplicating
-    /// re-broadcast announcements of the same restart.
-    last_rejoin_inc: BTreeMap<SiteId, u64>,
     counters: DetectorCounters,
 }
 
@@ -265,23 +295,20 @@ impl<P: Protocol> Detector<P> {
         // recovery can wait for a resync answer from *every* peer (the
         // answer-gated rejoin window) rather than only its current quorum.
         inner.set_peer_universe(&peers);
-        let last_heard = peers.iter().map(|&p| (p, 0)).collect();
+        let len = peers.iter().map(|p| p.index() + 1).max().unwrap_or(0);
+        let mut by_site = vec![PeerState::default(); len];
+        for p in &peers {
+            by_site[p.index()].monitored = true;
+        }
         Detector {
             inner,
             cfg,
             peers,
             now: 0,
             next_beat: 0,
-            last_heard,
-            suspected: BTreeSet::new(),
-            confirm_at: BTreeMap::new(),
-            indirect_heard: BTreeMap::new(),
-            last_echo: BTreeMap::new(),
-            reciprocal: BTreeSet::new(),
-            echoed_since: BTreeMap::new(),
+            by_site,
             rejoin_until: None,
             incarnation: 0,
-            last_rejoin_inc: BTreeMap::new(),
             counters: DetectorCounters::default(),
         }
     }
@@ -292,8 +319,8 @@ impl<P: Protocol> Detector<P> {
     }
 
     /// Currently suspected peers.
-    pub fn suspected(&self) -> &BTreeSet<SiteId> {
-        &self.suspected
+    pub fn suspected(&self) -> BTreeSet<SiteId> {
+        self.sites_where(|s| s.suspected).collect()
     }
 
     /// Whether this site is inside its post-recovery rejoin window.
@@ -324,17 +351,31 @@ impl<P: Protocol> Detector<P> {
         }
     }
 
+    /// Grows the table to cover `site`.
+    fn track(&mut self, site: SiteId) {
+        if site.index() >= self.by_site.len() {
+            self.by_site.resize(site.index() + 1, PeerState::default());
+        }
+    }
+
+    /// The sites whose state satisfies `f`, in `SiteId` order.
+    fn sites_where<'a>(
+        &'a self,
+        f: impl Fn(&PeerState) -> bool + 'a,
+    ) -> impl Iterator<Item = SiteId> + 'a {
+        (0u32..)
+            .zip(&self.by_site)
+            .filter(move |(_, s)| f(s))
+            .map(|(i, _)| SiteId(i))
+    }
+
     /// Peers heard from **directly** within the suspicion timeout — the
     /// vouch list piggybacked on every outgoing beat.
-    fn alive_set(&self) -> Vec<SiteId> {
+    fn alive_set(&self) -> Arc<[SiteId]> {
         self.peers
             .iter()
             .copied()
-            .filter(|p| {
-                self.last_heard
-                    .get(p)
-                    .is_some_and(|&h| h + self.cfg.hb_timeout > self.now)
-            })
+            .filter(|p| !self.by_site[p.index()].silent(self.cfg.hb_timeout, self.now))
             .collect()
     }
 
@@ -346,8 +387,8 @@ impl<P: Protocol> Detector<P> {
             fx.send(
                 p,
                 HbMsg::Beat {
-                    alive: alive.clone(),
-                    suspects_you: self.suspected.contains(&p),
+                    alive: Arc::clone(&alive),
+                    suspects_you: self.by_site[p.index()].suspected,
                 },
             );
             self.counters.heartbeats_sent += 1;
@@ -364,13 +405,17 @@ impl<P: Protocol> Detector<P> {
         suspects_you: bool,
         fx: &mut Effects<HbMsg<P::Msg>>,
     ) {
-        let me = self.inner.site();
+        let (me, now) = (self.inner.site(), self.now);
         for &b in alive {
             if b != me && b != from {
-                let e = self.indirect_heard.entry(b).or_insert(0);
-                *e = (*e).max(self.now);
+                // A site the table does not cover cannot be confirmed
+                // before this vouch expires (see `Detector`).
+                if let Some(s) = self.by_site.get_mut(b.index()) {
+                    s.indirect_heard = s.indirect_heard.max(Some(now));
+                }
             }
         }
+        let i = from.index();
         if suspects_you {
             // We hear `from` fine, yet it cannot hear us: asymmetric
             // silence. Reply out of schedule (rate-limited to one per
@@ -378,16 +423,15 @@ impl<P: Protocol> Detector<P> {
             // without waiting for the next beat round; under a true
             // directed cut the reply dies on the link, which is fine.
             self.counters.asymmetric_suspicions += 1;
-            let due = self
+            let due = self.by_site[i]
                 .last_echo
-                .get(&from)
-                .map_or(0, |&t| t + self.cfg.hb_interval);
-            if self.now >= due {
-                self.last_echo.insert(from, self.now);
+                .map_or(0, |t| t + self.cfg.hb_interval);
+            if now >= due {
+                self.by_site[i].last_echo = Some(now);
                 self.counters.echo_beats += 1;
                 let beat = HbMsg::Beat {
                     alive: self.alive_set(),
-                    suspects_you: self.suspected.contains(&from),
+                    suspects_you: self.by_site[i].suspected,
                 };
                 fx.send(from, beat);
             }
@@ -398,41 +442,42 @@ impl<P: Protocol> Detector<P> {
             // reach. No confirmation lease is armed: we hear the peer
             // directly, so it is definitively alive and reclaiming its
             // locks would be unsound.
-            let since = *self.echoed_since.entry(from).or_insert(self.now);
-            if !self.suspected.contains(&from) && self.now >= since + self.cfg.hb_timeout {
-                self.suspected.insert(from);
-                self.reciprocal.insert(from);
+            let s = &mut self.by_site[i];
+            let since = *s.echoed_since.get_or_insert(now);
+            if !s.suspected && now >= since + self.cfg.hb_timeout {
+                s.suspected = true;
+                s.reciprocal = true;
                 self.counters.reciprocal_suspicions += 1;
                 self.with_inner(fx, |p, ifx| p.on_site_suspected(from, ifx));
             }
         } else {
-            self.echoed_since.remove(&from);
-            if self.reciprocal.remove(&from) {
+            let s = &mut self.by_site[i];
+            s.echoed_since = None;
+            if std::mem::take(&mut s.reciprocal) {
                 // The peer hears us again: the one-way cut healed, so the
                 // reciprocal suspicion is withdrawn.
-                self.suspected.remove(&from);
+                s.suspected = false;
                 self.with_inner(fx, |p, ifx| p.on_site_restored(from, ifx));
             }
         }
     }
 
-    /// Records liveness evidence from `from`; if `from` was suspected, the
-    /// suspicion ends: restoration (false suspicion) or rejoin handling.
-    /// `rejoin` carries the announcement's incarnation when the message
-    /// was a [`HbMsg::Rejoin`].
+    /// Records liveness evidence from `from`, which the table must cover;
+    /// if `from` was suspected, the suspicion ends: restoration (false
+    /// suspicion) or rejoin handling. `rejoin` carries the announcement's
+    /// incarnation when the message was a [`HbMsg::Rejoin`].
     fn heard_from(&mut self, from: SiteId, rejoin: Option<u64>, fx: &mut Effects<HbMsg<P::Msg>>) {
-        self.last_heard.insert(from, self.now);
-        self.confirm_at.remove(&from);
+        let s = &mut self.by_site[from.index()];
+        s.last_heard = self.now;
+        s.confirm_at = None;
         // A reciprocal suspect is heard from constantly — hearing it is
         // not news. Its suspicion ends when the peer's echo clears (see
         // `note_view`) or when it rejoins after a genuine restart.
-        let was_suspected = !self.reciprocal.contains(&from) && self.suspected.remove(&from);
-        if rejoin.is_some() {
-            self.reciprocal.remove(&from);
-            self.echoed_since.remove(&from);
-            self.suspected.remove(&from);
-        }
+        let was_suspected = !s.reciprocal && std::mem::take(&mut s.suspected);
         if let Some(inc) = rejoin {
+            s.reciprocal = false;
+            s.echoed_since = None;
+            s.suspected = false;
             // A rejoin window re-broadcasts the same announcement until
             // its resync answers arrive, and fault injection can
             // duplicate the raw channel outright. Processing a duplicate
@@ -441,9 +486,9 @@ impl<P: Protocol> Detector<P> {
             // at most once. Incarnation 0 means the driver tracks no boot
             // counter; preserve the legacy process-every-announcement
             // behaviour for it.
-            let dup = inc > 0 && self.last_rejoin_inc.get(&from).is_some_and(|&l| l >= inc);
+            let dup = inc > 0 && s.last_rejoin_inc >= inc;
             if !dup {
-                self.last_rejoin_inc.insert(from, inc);
+                s.last_rejoin_inc = inc;
                 self.counters.rejoins_observed += 1;
                 self.with_inner(fx, |p, ifx| p.on_peer_rejoined(from, inc, ifx));
             }
@@ -452,16 +497,6 @@ impl<P: Protocol> Detector<P> {
             self.with_inner(fx, |p, ifx| p.on_site_restored(from, ifx));
         }
     }
-
-    /// Earliest suspicion deadline over unsuspected peers.
-    fn next_deadline(&self) -> Option<u64> {
-        self.peers
-            .iter()
-            .filter(|p| !self.suspected.contains(p))
-            .filter_map(|p| self.last_heard.get(p))
-            .map(|&heard| heard + self.cfg.hb_timeout)
-            .min()
-    }
 }
 
 impl<P: Protocol> fmt::Debug for Detector<P>
@@ -469,25 +504,16 @@ where
     P: fmt::Debug,
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Model-checker fingerprints hash this output: every
-        // behaviour-relevant field must appear. `now` is included because
-        // suspicion/confirmation deadlines and beat firing compare
-        // against it — two states equal elsewhere but at different local
-        // clocks behave differently.
+        // For debugging: every field that decides what the detector does
+        // next, including `now`, which its deadlines compare against.
+        // `by_site` renders as a list indexed by site id.
         f.debug_struct("Detector")
             .field("inner", &self.inner)
             .field("now", &self.now)
             .field("next_beat", &self.next_beat)
-            .field("last_heard", &self.last_heard)
-            .field("suspected", &self.suspected)
-            .field("confirm_at", &self.confirm_at)
-            .field("indirect_heard", &self.indirect_heard)
-            .field("last_echo", &self.last_echo)
-            .field("reciprocal", &self.reciprocal)
-            .field("echoed_since", &self.echoed_since)
+            .field("by_site", &self.by_site)
             .field("rejoin_until", &self.rejoin_until)
             .field("incarnation", &self.incarnation)
-            .field("last_rejoin_inc", &self.last_rejoin_inc)
             .finish()
     }
 }
@@ -507,8 +533,8 @@ impl<P: Protocol> Protocol for Detector<P> {
         // ahead of the `Rejoin` announcement and make peers take the
         // false-suspicion *restore* path for a site that in fact lost all
         // its state.
-        for &p in &self.peers {
-            self.last_heard.insert(p, self.now);
+        for p in &self.peers {
+            self.by_site[p.index()].last_heard = self.now;
         }
         self.next_beat = self.now + self.cfg.hb_interval;
         self.with_inner(fx, |p, ifx| p.on_start(ifx));
@@ -528,12 +554,20 @@ impl<P: Protocol> Protocol for Detector<P> {
                 alive,
                 suspects_you,
             } => {
+                self.track(from);
                 self.heard_from(from, None, fx);
                 self.note_view(from, &alive, suspects_you, fx);
             }
-            HbMsg::Rejoin { incarnation } => self.heard_from(from, Some(incarnation), fx),
+            HbMsg::Rejoin { incarnation } => {
+                self.track(from);
+                self.heard_from(from, Some(incarnation), fx);
+            }
             HbMsg::App(m) => {
-                self.heard_from(from, None, fx);
+                // Application traffic from a site the table does not cover
+                // is not recorded (see `Detector`).
+                if from.index() < self.by_site.len() {
+                    self.heard_from(from, None, fx);
+                }
                 self.with_inner(fx, |p, ifx| p.handle(from, m, ifx));
             }
         }
@@ -601,8 +635,10 @@ impl<P: Protocol> Protocol for Detector<P> {
         // later sighting restores the site exactly like any false
         // suspicion would) and passes straight through to the inner
         // protocol with no `fail_confirm` lease.
-        self.suspected.insert(failed);
-        self.confirm_at.remove(&failed);
+        self.track(failed);
+        let s = &mut self.by_site[failed.index()];
+        s.suspected = true;
+        s.confirm_at = None;
         self.with_inner(fx, |p, ifx| p.on_site_failure(failed, ifx));
     }
 
@@ -611,15 +647,17 @@ impl<P: Protocol> Protocol for Detector<P> {
         // and open the grace window for peers' state answers.
         let incarnation = self.incarnation;
         for &p in &self.peers {
-            self.last_heard.insert(p, self.now);
+            self.by_site[p.index()].last_heard = self.now;
             fx.send(p, HbMsg::Rejoin { incarnation });
         }
-        self.suspected.clear();
-        self.confirm_at.clear();
-        self.indirect_heard.clear();
-        self.last_echo.clear();
-        self.reciprocal.clear();
-        self.echoed_since.clear();
+        for s in &mut self.by_site {
+            *s = PeerState {
+                monitored: s.monitored,
+                last_heard: s.last_heard,
+                last_rejoin_inc: s.last_rejoin_inc,
+                ..PeerState::default()
+            };
+        }
         self.counters.rejoins_sent += 1;
         self.next_beat = self.now + self.cfg.hb_interval;
         self.rejoin_until = Some(self.now + self.cfg.rejoin_wait);
@@ -637,12 +675,16 @@ impl<P: Protocol> Protocol for Detector<P> {
     }
 
     fn next_timer(&self) -> Option<u64> {
+        // One pass over the table: the suspicion deadline of every
+        // unsuspected peer and every pending confirmation.
         let mut due = self.next_beat;
-        if let Some(d) = self.next_deadline() {
-            due = due.min(d);
-        }
-        if let Some(&c) = self.confirm_at.values().min() {
-            due = due.min(c);
+        for s in &self.by_site {
+            if s.monitored && !s.suspected {
+                due = due.min(s.last_heard + self.cfg.hb_timeout);
+            }
+            if let Some(c) = s.confirm_at {
+                due = due.min(c);
+            }
         }
         if let Some(r) = self.rejoin_until {
             due = due.min(r);
@@ -674,21 +716,21 @@ impl<P: Protocol> Protocol for Detector<P> {
             self.next_beat = self.now + self.cfg.hb_interval;
         }
         // Fire suspicions for peers silent past the timeout.
+        let hb_timeout = self.cfg.hb_timeout;
+        let lease_end = self.now.saturating_add(self.cfg.fail_confirm);
         let newly: Vec<SiteId> = self
             .peers
             .iter()
             .copied()
-            .filter(|p| !self.suspected.contains(p))
             .filter(|p| {
-                self.last_heard
-                    .get(p)
-                    .is_some_and(|&h| h + self.cfg.hb_timeout <= self.now)
+                let s = &self.by_site[p.index()];
+                !s.suspected && s.silent(hb_timeout, self.now)
             })
             .collect();
         for p in newly {
-            self.suspected.insert(p);
-            self.confirm_at
-                .insert(p, self.now.saturating_add(self.cfg.fail_confirm));
+            let s = &mut self.by_site[p.index()];
+            s.suspected = true;
+            s.confirm_at = Some(lease_end);
             self.counters.suspicions += 1;
             self.with_inner(fx, |proto, ifx| proto.on_site_suspected(p, ifx));
         }
@@ -698,29 +740,17 @@ impl<P: Protocol> Protocol for Detector<P> {
         // peer is still eventually confirmed (and normal hearing resumes
         // withdrawing it). The inner protocol already got its
         // `on_site_suspected`.
-        let gone_silent: Vec<SiteId> = self
-            .reciprocal
-            .iter()
-            .copied()
-            .filter(|p| {
-                self.last_heard
-                    .get(p)
-                    .is_some_and(|&h| h + self.cfg.hb_timeout <= self.now)
-            })
-            .collect();
-        for p in gone_silent {
-            self.reciprocal.remove(&p);
-            self.echoed_since.remove(&p);
-            self.confirm_at
-                .insert(p, self.now.saturating_add(self.cfg.fail_confirm));
+        for s in &mut self.by_site {
+            if s.reciprocal && s.silent(hb_timeout, self.now) {
+                s.reciprocal = false;
+                s.echoed_since = None;
+                s.confirm_at = Some(lease_end);
+            }
         }
         // Escalate suspicions that stayed silent through the whole
         // confirmation lease to definitive failures.
         let confirmed: Vec<SiteId> = self
-            .confirm_at
-            .iter()
-            .filter(|&(_, &c)| c <= self.now)
-            .map(|(&p, _)| p)
+            .sites_where(|s| s.confirm_at.is_some_and(|c| c <= self.now))
             .collect();
         for p in confirmed {
             // View reconciliation: a peer we can hear vouched for the
@@ -730,14 +760,15 @@ impl<P: Protocol> Protocol for Detector<P> {
             // For a genuinely crashed site every voucher goes silent about
             // it within one timeout, so confirmation is deferred by at
             // most ~hb_timeout, never forever.
-            if let Some(&ih) = self.indirect_heard.get(&p) {
-                if ih + self.cfg.hb_timeout > self.now {
-                    self.confirm_at.insert(p, ih + self.cfg.hb_timeout);
+            let s = &mut self.by_site[p.index()];
+            if let Some(ih) = s.indirect_heard {
+                if ih + hb_timeout > self.now {
+                    s.confirm_at = Some(ih + hb_timeout);
                     self.counters.confirms_deferred += 1;
                     continue;
                 }
             }
-            self.confirm_at.remove(&p);
+            s.confirm_at = None;
             self.counters.failures_confirmed += 1;
             self.with_inner(fx, |proto, ifx| proto.on_site_failure(p, ifx));
         }
@@ -849,7 +880,7 @@ mod tests {
     /// A plain beat with no vouches and no suspicion echo.
     fn beat() -> HbMsg<NoMsg> {
         HbMsg::Beat {
-            alive: Vec::new(),
+            alive: Arc::new([]),
             suspects_you: false,
         }
     }
@@ -988,11 +1019,15 @@ mod tests {
         fx.take_sends();
         d.set_now(30);
         d.handle(SiteId(1), HbMsg::App(NoMsg), &mut fx);
-        d.set_now(40);
-        d.on_timer(40, &mut fx);
         // Heard at 30, timeout 35: not suspected until 65.
-        assert!(d.suspected().is_empty());
-        assert_eq!(d.next_deadline(), Some(65));
+        for t in [40, 64] {
+            d.set_now(t);
+            d.on_timer(t, &mut fx);
+            assert!(d.suspected().is_empty(), "suspected at {t}");
+        }
+        d.set_now(65);
+        d.on_timer(65, &mut fx);
+        assert!(d.suspected().contains(&SiteId(1)));
     }
 
     #[test]
@@ -1253,7 +1288,7 @@ mod tests {
         d.handle(
             SiteId(1),
             HbMsg::Beat {
-                alive: vec![],
+                alive: Arc::new([]),
                 suspects_you: true,
             },
             &mut fx,
@@ -1272,7 +1307,7 @@ mod tests {
         d.handle(
             SiteId(1),
             HbMsg::Beat {
-                alive: vec![],
+                alive: Arc::new([]),
                 suspects_you: true,
             },
             &mut fx,
@@ -1285,7 +1320,7 @@ mod tests {
         d.handle(
             SiteId(1),
             HbMsg::Beat {
-                alive: vec![],
+                alive: Arc::new([]),
                 suspects_you: true,
             },
             &mut fx,
@@ -1297,7 +1332,7 @@ mod tests {
     /// A beat from `from` that suspects the recipient.
     fn echo() -> HbMsg<NoMsg> {
         HbMsg::Beat {
-            alive: Vec::new(),
+            alive: Arc::new([]),
             suspects_you: true,
         }
     }
@@ -1445,7 +1480,7 @@ mod tests {
             .expect("beat to peer 1");
         // Peer 1 was heard at 50 (alive); peer 2 is silent (not vouched
         // for) and suspected (echoed on its own beat).
-        assert_eq!(to1.0, vec![SiteId(1)]);
+        assert_eq!(*to1.0, [SiteId(1)]);
         assert!(!to1.1, "peer 1 is not suspected");
         let to2 = sends
             .iter()

@@ -243,6 +243,11 @@ pub struct Reliable<P: Protocol> {
     /// [`Protocol::set_incarnation`]); 0 for drivers that track none.
     incarnation: u64,
     links: BTreeMap<SiteId, LinkState<P::Msg>>,
+    /// Earliest retransmit deadline over every link's `unacked`. Every
+    /// entry point that changes a backlog re-reads it (`refresh_retry`),
+    /// so [`Protocol::next_timer`], which drivers call after every event,
+    /// reads a field instead of walking the backlogs.
+    next_retry: Option<u64>,
     counters: TransportCounters,
 }
 
@@ -255,6 +260,7 @@ impl<P: Protocol> Reliable<P> {
             now: 0,
             incarnation: 0,
             links: BTreeMap::new(),
+            next_retry: None,
             counters: TransportCounters::default(),
         }
     }
@@ -269,9 +275,21 @@ impl<P: Protocol> Reliable<P> {
         self.counters
     }
 
-    /// Total packets currently awaiting acks, across links.
-    fn unacked_total(&self) -> u64 {
-        self.links.values().map(|l| l.unacked.len() as u64).sum()
+    /// One pass over every link's backlog: the packets awaiting acks, and
+    /// the earliest retransmit deadline among them.
+    fn backlog(&self) -> (u64, Option<u64>) {
+        self.links.values().fold((0, None), |(total, due), l| {
+            let first = l.unacked.values().map(|p| p.next_retry_at).min();
+            (total + l.unacked.len() as u64, earliest(due, first))
+        })
+    }
+
+    /// Re-reads the cached retransmit deadline after a backlog changed,
+    /// returning the number of packets awaiting acks.
+    fn refresh_retry(&mut self) -> u64 {
+        let (total, due) = self.backlog();
+        self.next_retry = due;
+        total
     }
 
     /// Converts queued inner-protocol sends into sequenced data packets.
@@ -310,7 +328,46 @@ impl<P: Protocol> Reliable<P> {
                 },
             );
         }
-        self.counters.max_unacked = self.counters.max_unacked.max(self.unacked_total());
+        let unacked = self.refresh_retry();
+        self.counters.max_unacked = self.counters.max_unacked.max(unacked);
+    }
+
+    /// Retransmits every packet whose retry deadline has passed, giving up
+    /// on those out of retries. The caller's closing `wrap_sends` re-reads
+    /// the cached deadline.
+    fn retransmit_due(&mut self, fx: &mut Effects<Packet<P::Msg>>) {
+        let now = self.now;
+        let (rto_max, max_retries) = (self.cfg.rto_max, self.cfg.max_retries);
+        for (&to, link) in self.links.iter_mut() {
+            let due: Vec<u64> = link
+                .unacked
+                .iter()
+                .filter(|(_, p)| p.next_retry_at <= now)
+                .map(|(&s, _)| s)
+                .collect();
+            for seq in due {
+                let p = link.unacked.get_mut(&seq).expect("due seq present");
+                if p.retries >= max_retries {
+                    link.unacked.remove(&seq);
+                    self.counters.gave_up += 1;
+                    continue;
+                }
+                p.retries += 1;
+                p.rto = (p.rto * 2).min(rto_max);
+                p.next_retry_at = now + p.rto;
+                self.counters.retransmissions += 1;
+                fx.send(
+                    to,
+                    Packet::Data {
+                        epoch: link.send_epoch,
+                        seq,
+                        ack_epoch: link.recv_epoch,
+                        ack: link.recv_cum,
+                        payload: p.payload.clone(),
+                    },
+                );
+            }
+        }
     }
 
     /// Applies a cumulative ack from `from`, provided it refers to the
@@ -358,6 +415,7 @@ impl<P: Protocol> Protocol for Reliable<P> {
         match msg {
             Packet::Ack { epoch, ack } => {
                 self.apply_ack(from, epoch, ack);
+                self.refresh_retry();
             }
             Packet::Data {
                 epoch,
@@ -377,8 +435,10 @@ impl<P: Protocol> Protocol for Reliable<P> {
                     // send half: its sequence numbers live in a dead
                     // numbering space — taking it would let it consume the
                     // new incarnation's slots. Drop silently (no re-ack:
-                    // stale-epoch acks are ignored anyway).
+                    // stale-epoch acks are ignored anyway). The piggybacked
+                    // ack above still counts.
                     self.counters.stale_epoch_dropped += 1;
+                    self.refresh_retry();
                     return;
                 }
                 if epoch > link.recv_epoch {
@@ -444,53 +504,22 @@ impl<P: Protocol> Protocol for Reliable<P> {
     }
 
     fn next_timer(&self) -> Option<u64> {
-        let retransmit = self
-            .links
-            .values()
-            .flat_map(|l| l.unacked.values())
-            .map(|p| p.next_retry_at)
-            .min();
+        debug_assert_eq!(
+            self.next_retry,
+            self.backlog().1,
+            "cached retransmit deadline out of date"
+        );
         // Merge the inner protocol's timers (e.g. a request deadline) so
         // wrapping in a transport never silences them.
-        match (retransmit, self.inner.next_timer()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        earliest(self.next_retry, self.inner.next_timer())
     }
 
     fn on_timer(&mut self, now: u64, fx: &mut Effects<Self::Msg>) {
         self.now = self.now.max(now);
         let now = self.now;
-        let (rto_max, max_retries) = (self.cfg.rto_max, self.cfg.max_retries);
-        for (&to, link) in self.links.iter_mut() {
-            let due: Vec<u64> = link
-                .unacked
-                .iter()
-                .filter(|(_, p)| p.next_retry_at <= now)
-                .map(|(&s, _)| s)
-                .collect();
-            for seq in due {
-                let p = link.unacked.get_mut(&seq).expect("due seq present");
-                if p.retries >= max_retries {
-                    link.unacked.remove(&seq);
-                    self.counters.gave_up += 1;
-                    continue;
-                }
-                p.retries += 1;
-                p.rto = (p.rto * 2).min(rto_max);
-                p.next_retry_at = now + p.rto;
-                self.counters.retransmissions += 1;
-                fx.send(
-                    to,
-                    Packet::Data {
-                        epoch: link.send_epoch,
-                        seq,
-                        ack_epoch: link.recv_epoch,
-                        ack: link.recv_cum,
-                        payload: p.payload.clone(),
-                    },
-                );
-            }
+        // Nothing is due before the cached earliest deadline.
+        if self.next_retry.is_some_and(|due| due <= now) {
+            self.retransmit_due(fx);
         }
         // Forward the wake-up: the inner protocol may own timers of its own
         // (a request deadline aborts from in here).
@@ -685,8 +714,16 @@ impl<P: Protocol + fmt::Debug> fmt::Debug for Reliable<P> {
         f.debug_struct("Reliable")
             .field("inner", &self.inner)
             .field("now", &self.now)
-            .field("unacked", &self.unacked_total())
+            .field("unacked", &self.backlog().0)
             .finish()
+    }
+}
+
+/// The earlier of two optional deadlines.
+fn earliest(a: Option<u64>, b: Option<u64>) -> Option<u64> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -1227,6 +1264,44 @@ mod tests {
             .any(|(to, p)| *to == SiteId(1) && matches!(p, Packet::Data { .. }));
         assert!(answered, "fresh-incarnation request delivered and answered");
         let _ = &mut s1_new;
+    }
+
+    #[test]
+    fn stale_epoch_packet_still_applies_its_ack() {
+        // A packet dropped as a stale-epoch straggler still carries a
+        // cumulative ack for the current send epoch. That ack must clear
+        // the backlog, and the cached retransmit deadline must follow it
+        // (debug builds check the cache on every `next_timer`).
+        let (mut s0, _) = pair();
+        let mut fx = Effects::new();
+        s0.request_cs(&mut fx);
+        fx.take_sends();
+        // Site 1 rejoins as incarnation 1: the request is rebased into send
+        // epoch 1, and only site 1's epoch `1 << 32` is accepted from now on.
+        s0.on_peer_rejoined(SiteId(1), 1, &mut fx);
+        let payload = match fx.take_sends().into_iter().next() {
+            Some((
+                _,
+                Packet::Data {
+                    epoch: 1, payload, ..
+                },
+            )) => payload,
+            other => panic!("expected the rebased request, got {other:?}"),
+        };
+        assert!(s0.next_timer().is_some(), "the rebased request is pending");
+        s0.handle(
+            SiteId(1),
+            Packet::Data {
+                epoch: 0,
+                seq: 9,
+                ack_epoch: 1,
+                ack: 100,
+                payload,
+            },
+            &mut fx,
+        );
+        assert_eq!(s0.counters().stale_epoch_dropped, 1);
+        assert_eq!(s0.next_timer(), None, "the straggler's ack cleared it");
     }
 
     #[test]

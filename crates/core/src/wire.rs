@@ -230,12 +230,18 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// Appends `items` as a `u32` length prefix followed by each element:
+/// the encoding of a `Vec<T>`.
+fn encode_seq<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    for v in items {
+        v.encode(out);
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        for v in self {
-            v.encode(out);
-        }
+        encode_seq(self, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         // Every element encodes to at least one byte, so the length gate in
@@ -485,7 +491,7 @@ impl<M: Wire> Wire for HbMsg<M> {
                 suspects_you,
             } => {
                 out.push(0);
-                alive.encode(out);
+                encode_seq(alive, out);
                 suspects_you.encode(out);
             }
             HbMsg::Rejoin { incarnation } => {
@@ -502,7 +508,7 @@ impl<M: Wire> Wire for HbMsg<M> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match r.u8()? {
             0 => HbMsg::Beat {
-                alive: Vec::decode(r)?,
+                alive: Vec::<SiteId>::decode(r)?.into(),
                 suspects_you: bool::decode(r)?,
             },
             1 => HbMsg::Rejoin {
@@ -609,9 +615,15 @@ mod tests {
     #[test]
     fn beat_rejoin_and_ack_round_trip() {
         let beat: StackMsg = HbMsg::Beat {
-            alive: vec![SiteId(0), SiteId(2), SiteId(5)],
+            alive: vec![SiteId(0), SiteId(2), SiteId(5)].into(),
             suspects_you: true,
         };
+        // Exact bytes: tag, u32 length, one u32 per vouched site, echo
+        // flag. Peers of every version must read the same beat.
+        assert_eq!(
+            beat.to_bytes(),
+            [0, 3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 1]
+        );
         let rejoin: StackMsg = HbMsg::Rejoin { incarnation: 3 };
         let ack: StackMsg = HbMsg::App(Packet::Ack { epoch: 2, ack: 17 });
         for m in [beat, rejoin, ack] {

@@ -1,12 +1,24 @@
 //! Micro-benchmarks of the protocol state machines themselves: how fast is
 //! one uncontended CS round (request → replies → enter → release), and how
 //! fast does an arbiter chew through queued requests?
+//!
+//! The `lockspace` group times one arbiter-side request and its release on
+//! a `LockSpace<DelayOptimal>` that has already built 1, 64 or 4096
+//! shards, each followed by the `drain_aborted_resources()` and
+//! `abort_counters()` calls the simulator and `Node` make after every
+//! event. The time should not grow with the shard count.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use qmx_baselines::Maekawa;
-use qmx_core::{Config, DelayOptimal, Effects, Protocol, SiteId};
+use qmx_core::delay_optimal::Body;
+use qmx_core::{
+    Config, DelayOptimal, Effects, LockSpace, Msg, Protocol, ResMsg, ResourceId, SeqNum, SiteId,
+    Timestamp,
+};
 use qmx_quorum::grid::grid_system;
 use std::collections::VecDeque;
+use std::hint::black_box;
+use std::sync::Arc;
 
 /// Drives a set of protocol instances synchronously until quiescence.
 fn settle<P: Protocol>(sites: &mut [P], inflight: &mut VecDeque<(SiteId, SiteId, P::Msg)>) {
@@ -113,5 +125,68 @@ fn bench_contended_burst(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_uncontended_round, bench_contended_burst);
+/// Site 0's lock space over the quorum {0, 1}, with `shards` resources
+/// already built.
+fn built_space(shards: u32) -> LockSpace<DelayOptimal> {
+    let quorum = vec![SiteId(0), SiteId(1)];
+    let mut space = LockSpace::new(
+        SiteId(0),
+        Arc::new(move |_rid| DelayOptimal::new(SiteId(0), quorum.clone(), Config::default())),
+    );
+    for rid in 0..shards {
+        space.set_deadline_r(ResourceId(rid), None);
+    }
+    space
+}
+
+fn from_site1(seq: u64, body: Body) -> ResMsg<Msg> {
+    ResMsg {
+        rid: ResourceId(0),
+        body: Msg {
+            clk: SeqNum(seq),
+            body,
+        },
+    }
+}
+
+fn bench_lockspace(c: &mut Criterion) {
+    const ROUNDS: u64 = 256;
+    let mut g = c.benchmark_group("lockspace");
+    g.throughput(Throughput::Elements(ROUNDS));
+    for shards in [1u32, 64, 4096] {
+        let mut space = built_space(shards);
+        let mut fx = Effects::new();
+        let mut seq = 0;
+        // One element: site 1's request reaches the arbiter and is granted,
+        // then its release frees the arbiter again. Each event is followed
+        // by the two calls the simulator and `Node` make after every event.
+        g.bench_function(format!("arbiter_request_shards_{shards}"), |b| {
+            b.iter(|| {
+                for _ in 0..ROUNDS {
+                    seq += 1;
+                    let ts = Timestamp::new(seq, SiteId(1));
+                    let release = Body::Release {
+                        holder_req: ts,
+                        forwarded_to: None,
+                    };
+                    for body in [Body::Request { ts }, release] {
+                        space.handle(SiteId(1), from_site1(seq, body), &mut fx);
+                        black_box(space.drain_aborted_resources());
+                        black_box(space.abort_counters());
+                    }
+                }
+                assert_eq!(fx.take_sends().len() as u64, ROUNDS, "one reply each");
+            })
+        });
+        assert_eq!(space.shard_count(), shards as usize);
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_uncontended_round,
+    bench_contended_burst,
+    bench_lockspace
+);
 criterion_main!(benches);

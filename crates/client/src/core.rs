@@ -12,7 +12,7 @@ use std::io;
 
 use qmx_core::wire::Wire;
 use qmx_core::{ResourceId, SiteId};
-use qmx_runtime::frame::{write_frame, FrameBuf};
+use qmx_runtime::frame::{encode_frame, FrameBuf};
 use qmx_runtime::proto::{ClientMsg, Hello, RejectReason, ServerMsg};
 use qmx_runtime::transport::{Conn, Transport};
 
@@ -75,8 +75,7 @@ impl<C: Conn> ClientCore<C> {
     /// Wraps an established connection and queues the handshake frame.
     pub fn new(mut conn: C, id: u64) -> Self {
         let mut scratch = Vec::new();
-        let payload = Hello::Client { id }.to_bytes();
-        write_frame(&mut scratch, &payload);
+        encode_frame(&mut scratch, &Hello::Client { id });
         let dead = conn.send_bytes(&scratch).is_err();
         ClientCore {
             conn,
@@ -140,8 +139,7 @@ impl<C: Conn> ClientCore<C> {
             return;
         }
         self.scratch.clear();
-        let payload = msg.to_bytes();
-        write_frame(&mut self.scratch, &payload);
+        encode_frame(&mut self.scratch, &msg);
         if self.conn.send_bytes(&self.scratch).is_err() {
             self.dead = true;
         }

@@ -34,6 +34,14 @@
 //! scan of the whole table; the driver clock is stamped onto a shard only
 //! when the shard is touched.
 //!
+//! Abort bookkeeping, like the timer index, costs O(1) per event. Every
+//! call into a shard reads the shard's [`AbortCounters`] before and after,
+//! adds the difference to a running total, and notes the resource when its
+//! abort count rose, so [`Protocol::abort_counters`] and
+//! [`Protocol::drain_aborted_resources`] never walk the shards. The
+//! simulator and `Node` call them after every event; a request that
+//! never aborts pays two counter reads for them.
+//!
 //! The inner protocol must signal CS entry per its own single-resource
 //! convention ([`Effects::enter_cs`]); the lock space re-tags each entry
 //! with the shard's id so drivers observe [`Effects::entered_resources`].
@@ -41,7 +49,7 @@
 //! permission-based algorithms in this workspace; a token protocol that
 //! announces initial placement would need eager shard creation).
 
-use crate::protocol::{Effects, MsgKind, MsgMeta, Protocol, ResourceId, SiteId};
+use crate::protocol::{AbortCounters, Effects, MsgKind, MsgMeta, Protocol, ResourceId, SiteId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -87,9 +95,12 @@ pub struct LockSpace<P> {
     timer_of: BTreeMap<u32, u64>,
     /// … and the same pairs ordered by due time for `next_timer`.
     timers: BTreeSet<(u64, u32)>,
-    /// Last observed `aborts + deadline_aborts` total per shard, for
+    /// Sum of every shard's [`AbortCounters`]; `None` until a shard
+    /// reports any.
+    abort_sum: Option<AbortCounters>,
+    /// Shards whose `aborts + deadline_aborts` rose since the last
     /// [`Protocol::drain_aborted_resources`].
-    aborts_seen: BTreeMap<u32, u64>,
+    aborted: BTreeSet<u32>,
     /// Sites currently down from the detector's point of view
     /// (`true` = failure confirmed, `false` = merely suspected). Shards
     /// are created lazily, so a shard touched *after* a suspicion fired
@@ -111,7 +122,8 @@ impl<P: Protocol> LockSpace<P> {
             peer_universe: None,
             timer_of: BTreeMap::new(),
             timers: BTreeSet::new(),
-            aborts_seen: BTreeMap::new(),
+            abort_sum: None,
+            aborted: BTreeSet::new(),
             down: BTreeMap::new(),
         }
     }
@@ -178,6 +190,11 @@ impl<P: Protocol> LockSpace<P> {
                 fx.sends().is_empty() && !fx.entered_cs(),
                 "down-set replay on an idle shard must be effect-free"
             );
+            if let Some(c) = shard.abort_counters() {
+                self.abort_sum
+                    .get_or_insert_with(Default::default)
+                    .merge(&c);
+            }
             self.shards.insert(rid.0, shard);
         }
         let shard = self.shards.get_mut(&rid.0).expect("ensured above");
@@ -186,7 +203,8 @@ impl<P: Protocol> LockSpace<P> {
     }
 
     /// Runs `f` against the shard for `rid`, re-tagging its sends and CS
-    /// entries with the resource id and re-seating its timer.
+    /// entries with the resource id, re-seating its timer and recording
+    /// any aborts it made.
     fn with_shard(
         &mut self,
         rid: ResourceId,
@@ -195,8 +213,13 @@ impl<P: Protocol> LockSpace<P> {
     ) {
         let mut inner_fx = Effects::new();
         let shard = self.ensure(rid);
+        let before = shard.abort_counters();
         f(shard, &mut inner_fx);
+        let after = shard.abort_counters();
         let next = shard.next_timer();
+        if before != after {
+            self.note_aborts(rid.0, before.unwrap_or_default(), after.unwrap_or_default());
+        }
         let (sends, entered) = inner_fx.drain();
         for (to, body) in sends {
             fx.send(to, ResMsg { rid, body });
@@ -219,11 +242,28 @@ impl<P: Protocol> LockSpace<P> {
         }
     }
 
-    /// Current `aborts + deadline_aborts` total of one shard.
-    fn abort_total(shard: &P) -> u64 {
-        shard
-            .abort_counters()
-            .map_or(0, |c| c.aborts + c.deadline_aborts)
+    /// Moves the running total by one shard's counter change, and queues
+    /// the shard for the next drain when its abort count rose.
+    fn note_aborts(&mut self, rid: u32, before: AbortCounters, after: AbortCounters) {
+        let sum = self.abort_sum.get_or_insert_with(Default::default);
+        sum.aborts = sum.aborts + after.aborts - before.aborts;
+        sum.deadline_aborts = sum.deadline_aborts + after.deadline_aborts - before.deadline_aborts;
+        sum.orphan_grants = sum.orphan_grants + after.orphan_grants - before.orphan_grants;
+        if after.aborts + after.deadline_aborts > before.aborts + before.deadline_aborts {
+            self.aborted.insert(rid);
+        }
+    }
+
+    /// The sum of every shard's counters, by walking the shards: what the
+    /// running total must equal.
+    fn summed_abort_counters(&self) -> Option<AbortCounters> {
+        self.shards
+            .values()
+            .filter_map(|p| p.abort_counters())
+            .reduce(|mut sum, c| {
+                sum.merge(&c);
+                sum
+            })
     }
 }
 
@@ -271,16 +311,13 @@ impl<P: Protocol> Protocol for LockSpace<P> {
         self.set_deadline_r(ResourceId::SOLO, deadline);
     }
 
-    fn abort_counters(&self) -> Option<crate::protocol::AbortCounters> {
-        let mut total = crate::protocol::AbortCounters::default();
-        let mut any = false;
-        for shard in self.shards.values() {
-            if let Some(c) = shard.abort_counters() {
-                total.merge(&c);
-                any = true;
-            }
-        }
-        any.then_some(total)
+    fn abort_counters(&self) -> Option<AbortCounters> {
+        debug_assert_eq!(
+            self.abort_sum,
+            self.summed_abort_counters(),
+            "running abort total drifted from the sum over shards"
+        );
+        self.abort_sum
     }
 
     fn request_cs_r(&mut self, rid: ResourceId, fx: &mut Effects<Self::Msg>) {
@@ -313,16 +350,10 @@ impl<P: Protocol> Protocol for LockSpace<P> {
     }
 
     fn drain_aborted_resources(&mut self) -> Vec<ResourceId> {
-        let mut out = Vec::new();
-        for (&rid, shard) in &self.shards {
-            let total = Self::abort_total(shard);
-            let seen = self.aborts_seen.entry(rid).or_insert(0);
-            if total > *seen {
-                *seen = total;
-                out.push(ResourceId(rid));
-            }
-        }
-        out
+        std::mem::take(&mut self.aborted)
+            .into_iter()
+            .map(ResourceId)
+            .collect()
     }
 
     fn on_site_failure(&mut self, failed: SiteId, fx: &mut Effects<Self::Msg>) {
@@ -535,5 +566,44 @@ mod tests {
         assert_eq!(s0.next_timer(), Some(500));
         assert_eq!(s0.drain_aborted_resources(), vec![ResourceId(9)]);
         assert!(s0.drain_aborted_resources().is_empty(), "drained once");
+    }
+
+    #[test]
+    fn abort_bookkeeping_drains_each_rid_once_in_order() {
+        // Site 1 never answers, so every request stays pending and can
+        // abort.
+        let mut s0 = space(0, 2);
+        assert_eq!(s0.abort_counters(), None, "no shard yet");
+        let mut fx = Effects::new();
+        s0.set_now(10);
+        s0.set_deadline_r(ResourceId(9), Some(100));
+        s0.set_deadline_r(ResourceId(3), Some(100));
+        for rid in [9, 5, 3] {
+            s0.request_cs_r(ResourceId(rid), &mut fx);
+            assert_eq!(s0.abort_counters(), s0.summed_abort_counters());
+        }
+        assert_eq!(s0.shard_count(), 3);
+        assert_eq!(s0.abort_counters(), Some(AbortCounters::default()));
+
+        // Both deadlines fire in one wake-up.
+        s0.on_timer(100, &mut fx);
+        assert_eq!(s0.abort_counters(), s0.summed_abort_counters());
+        // An explicit withdrawal hits the third shard.
+        assert!(s0.abort_cs_r(ResourceId(5), &mut fx));
+        assert_eq!(s0.abort_counters(), s0.summed_abort_counters());
+        // Resource 3 asks again and aborts again before anyone drains.
+        s0.request_cs_r(ResourceId(3), &mut fx);
+        assert_eq!(s0.abort_counters(), s0.summed_abort_counters());
+        assert!(s0.abort_cs_r(ResourceId(3), &mut fx));
+        assert_eq!(s0.abort_counters(), s0.summed_abort_counters());
+
+        let c = s0.abort_counters().expect("counters");
+        assert_eq!((c.aborts, c.deadline_aborts, c.orphan_grants), (4, 2, 0));
+        assert_eq!(
+            s0.drain_aborted_resources(),
+            vec![ResourceId(3), ResourceId(5), ResourceId(9)]
+        );
+        assert!(s0.drain_aborted_resources().is_empty(), "drained once");
+        assert_eq!(s0.abort_counters(), Some(c), "draining keeps the totals");
     }
 }

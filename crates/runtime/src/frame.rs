@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use qmx_core::wire::Wire;
+
 /// Hard cap on a single frame's payload, in bytes. Generous for the
 /// protocol (whose largest messages are heartbeat site-lists) while small
 /// enough that a hostile length prefix cannot cause a large allocation.
@@ -50,6 +52,22 @@ pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
     );
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
+}
+
+/// Appends one frame carrying `msg` to `out`, encoding straight into `out`
+/// after a length prefix that is filled in last. The bytes are exactly
+/// those of `write_frame(out, &msg.to_bytes())`, without the intermediate
+/// buffer, so a sender that reuses `out` allocates nothing per frame.
+///
+/// # Panics
+/// If the encoding exceeds [`MAX_FRAME`], as [`write_frame`] does.
+pub fn encode_frame<M: Wire>(out: &mut Vec<u8>, msg: &M) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    msg.encode(out);
+    let len = out.len() - start - 4;
+    assert!(len <= MAX_FRAME, "outgoing frame exceeds MAX_FRAME");
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Incremental frame reassembly buffer for one connection.

@@ -32,7 +32,7 @@ pub mod stack;
 pub mod tcp;
 pub mod transport;
 
-pub use frame::{write_frame, FrameBuf, FrameError, MAX_FRAME};
+pub use frame::{encode_frame, write_frame, FrameBuf, FrameError, MAX_FRAME};
 pub use loopback::{LoopConn, LoopListener, LoopNet, LoopTransport};
 pub use node::{Node, NodeConfig, NodeCounters};
 pub use proto::{ClientMsg, Hello, RejectReason, ServerMsg};

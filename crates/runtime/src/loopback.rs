@@ -17,12 +17,19 @@
 //! `ConnectionRefused`, which is what drives the reconnect-with-backoff
 //! path), and killing a whole site is just dropping its node, which drops
 //! its listener and every conn it owns.
+//!
+//! One thread drives a [`LoopNet`] and everything made from it: the
+//! harness steps the clock and polls every node and client in turn. So
+//! the shared state sits behind `Rc<RefCell<…>>`, not a mutex, and the
+//! net, its transports, listeners and conns are `!Send`. A node polls
+//! every session on each round, mostly finding nothing; with no lock to
+//! take, an empty read costs a borrow flag.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
-use crate::lock;
 use crate::transport::{Conn, Listener, Transport};
 
 /// One timed burst of bytes in flight on a pipe direction.
@@ -91,9 +98,10 @@ impl NetInner {
 ///
 /// Cheap to clone (all clones share state). Tests keep one around as the
 /// clock authority; every [`LoopTransport`] handed to a node is a clone.
+/// Single-threaded by design (see the module docs).
 #[derive(Clone)]
 pub struct LoopNet {
-    inner: Arc<Mutex<NetInner>>,
+    inner: Rc<RefCell<NetInner>>,
 }
 
 impl Default for LoopNet {
@@ -107,7 +115,7 @@ impl LoopNet {
     /// microseconds to arrive.
     pub fn new(latency_us: u64) -> Self {
         LoopNet {
-            inner: Arc::new(Mutex::new(NetInner {
+            inner: Rc::new(RefCell::new(NetInner {
                 now: 0,
                 latency: latency_us.max(1),
                 pipes: Vec::new(),
@@ -119,12 +127,12 @@ impl LoopNet {
 
     /// Current virtual time in microseconds.
     pub fn now(&self) -> u64 {
-        lock(&self.inner).now
+        self.inner.borrow().now
     }
 
     /// Advances the virtual clock. Going backwards is a harness bug.
     pub fn advance_to(&self, t: u64) {
-        let mut g = lock(&self.inner);
+        let mut g = self.inner.borrow_mut();
         assert!(
             t >= g.now,
             "virtual clock must be monotone ({} -> {t})",
@@ -135,12 +143,12 @@ impl LoopNet {
 
     /// Stamp of the next in-flight delivery or pending accept, if any.
     pub fn next_event(&self) -> Option<u64> {
-        lock(&self.inner).next_event()
+        self.inner.borrow().next_event()
     }
 
     /// Changes the one-way latency applied to subsequently written chunks.
     pub fn set_latency(&self, latency_us: u64) {
-        lock(&self.inner).latency = latency_us.max(1);
+        self.inner.borrow_mut().latency = latency_us.max(1);
     }
 
     /// A transport handle onto this network, one per node or client.
@@ -172,7 +180,7 @@ impl Conn for LoopConn {
         if bytes.is_empty() {
             return Ok(());
         }
-        let mut g = lock(&self.net.inner);
+        let mut g = self.net.inner.borrow_mut();
         let now = g.now;
         let latency = g.latency;
         let p = &mut g.pipes[self.pipe];
@@ -190,7 +198,7 @@ impl Conn for LoopConn {
     }
 
     fn recv_bytes(&mut self, buf: &mut Vec<u8>) -> io::Result<usize> {
-        let mut g = lock(&self.net.inner);
+        let mut g = self.net.inner.borrow_mut();
         let now = g.now;
         let p = &mut g.pipes[self.pipe];
         let dir = &mut p.dirs[1 - self.side];
@@ -217,7 +225,7 @@ impl Conn for LoopConn {
 
 impl Drop for LoopConn {
     fn drop(&mut self) {
-        let mut g = lock(&self.net.inner);
+        let mut g = self.net.inner.borrow_mut();
         g.pipes[self.pipe].open[self.side] = false;
     }
 }
@@ -233,7 +241,7 @@ impl Listener for LoopListener {
     type Conn = LoopConn;
 
     fn poll_accept(&mut self) -> io::Result<Option<LoopConn>> {
-        let mut g = lock(&self.net.inner);
+        let mut g = self.net.inner.borrow_mut();
         let now = g.now;
         let slot = match g.listeners.get_mut(&self.addr) {
             Some(s) if s.gen == self.gen => s,
@@ -264,7 +272,7 @@ impl Listener for LoopListener {
 
 impl Drop for LoopListener {
     fn drop(&mut self) {
-        let mut g = lock(&self.net.inner);
+        let mut g = self.net.inner.borrow_mut();
         if g.listeners
             .get(&self.addr)
             .is_some_and(|s| s.gen == self.gen)
@@ -285,7 +293,7 @@ impl Transport for LoopTransport {
     type Listener = LoopListener;
 
     fn listen(&mut self, addr: &str) -> io::Result<LoopListener> {
-        let mut g = lock(&self.net.inner);
+        let mut g = self.net.inner.borrow_mut();
         if g.listeners.contains_key(addr) {
             return Err(io::Error::new(
                 io::ErrorKind::AddrInUse,
@@ -309,7 +317,7 @@ impl Transport for LoopTransport {
     }
 
     fn connect(&mut self, addr: &str) -> io::Result<LoopConn> {
-        let mut g = lock(&self.net.inner);
+        let mut g = self.net.inner.borrow_mut();
         if !g.listeners.contains_key(addr) {
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
@@ -344,7 +352,7 @@ impl Transport for LoopTransport {
     fn wait(&mut self, until: Option<u64>) {
         // Standalone use only: the deterministic harness drives the clock
         // itself and never calls this. Jump to the next interesting moment.
-        let mut g = lock(&self.net.inner);
+        let mut g = self.net.inner.borrow_mut();
         let mut target = until.unwrap_or(g.now.saturating_add(1_000));
         if let Some(ev) = g.next_event() {
             target = target.min(ev);

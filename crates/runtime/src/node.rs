@@ -14,15 +14,18 @@
 //! ## Client lock table
 //!
 //! Per resource the node keeps the granted holder and a FIFO queue of
-//! waiting client requests. Only the queue head is represented in the
-//! protocol stack — the `Protocol` interface models one outstanding
-//! request per (site, resource), which is exactly Maekawa's and the
-//! paper's model — so the node promotes the next waiter into a protocol
-//! request each time the previous one resolves. A head waiter's deadline
-//! rides the protocol's abortable-request machinery
-//! ([`Protocol::set_deadline_r`]); queued waiters behind it are expired by
-//! the node itself, which is cheaper than churning the quorum with
-//! requests that would be withdrawn anyway.
+//! waiting client requests. An entry exists only while its resource has a
+//! holder, a waiter or an outstanding protocol request, so the per-poll
+//! scans cover live resources, however many a site has served. Only the
+//! queue head is represented in the protocol stack — the `Protocol`
+//! interface models one outstanding request per (site, resource), which
+//! is exactly Maekawa's and the paper's model — so the node promotes the
+//! next waiter into a protocol request each time the previous one
+//! resolves. A head waiter's deadline rides the protocol's
+//! abortable-request machinery ([`Protocol::set_deadline_r`]); queued
+//! waiters behind it are expired by the node itself, which is cheaper
+//! than churning the quorum with requests that would be withdrawn
+//! anyway.
 //!
 //! ## Failure handling
 //!
@@ -41,7 +44,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use qmx_core::wire::Wire;
 use qmx_core::{Effects, Protocol, ResourceId, SiteId};
 
-use crate::frame::{write_frame, FrameBuf};
+use crate::frame::{encode_frame, FrameBuf};
 use crate::proto::{ClientMsg, Hello, RejectReason, ServerMsg};
 use crate::transport::{Conn, Listener, Transport};
 
@@ -248,13 +251,11 @@ where
     /// stack neither holds nor wants any resource — the node could vanish
     /// without orphaning a grant.
     pub fn quiescent(&self) -> bool {
-        self.locks.iter().all(|(rid, st)| {
-            st.holder.is_none()
-                && st.queue.is_empty()
-                && !st.requested
-                && !self.proto.in_cs_r(*rid)
-                && !self.proto.wants_cs_r(*rid)
-        })
+        self.locks
+            .values()
+            .all(|st| st.holder.is_none() && st.queue.is_empty() && !st.requested)
+            && !self.proto.in_cs()
+            && !self.proto.wants_cs()
     }
 
     /// Runs one scheduling round: accept, read, dispatch, timers,
@@ -270,6 +271,12 @@ where
         self.expire_queued_waiters(now);
         self.flush_all(now);
         self.sweep_dead();
+        debug_assert!(
+            self.locks
+                .values()
+                .all(|st| st.holder.is_some() || !st.queue.is_empty() || st.requested),
+            "an idle resource was left in the lock table"
+        );
         self.next_wake(now)
     }
 
@@ -330,8 +337,7 @@ where
                         incarnation: self.cfg.incarnation,
                     };
                     self.scratch.clear();
-                    let payload = hello.to_bytes();
-                    write_frame(&mut self.scratch, &payload);
+                    encode_frame(&mut self.scratch, &hello);
                     if conn.send_bytes(&self.scratch).is_ok() {
                         self.counters.peer_connects += 1;
                         self.counters.frames_out += 1;
@@ -463,11 +469,10 @@ where
         let (rid, req) = msg.key();
         match msg {
             ClientMsg::Acquire { wait_us, .. } => {
-                let busy = {
-                    let st = self.locks.entry(rid).or_default();
+                let busy = self.locks.get(&rid).is_some_and(|st| {
                     st.holder.is_some_and(|(s, _)| s == idx)
                         || st.queue.iter().any(|w| w.sess == idx && !w.abandoned)
-                };
+                });
                 if busy {
                     self.counters.rejects += 1;
                     self.send_client(
@@ -606,28 +611,29 @@ where
     // ------------------------------------------------------------------
 
     /// Promotes the next live waiter on `rid` into a protocol request, if
-    /// none is outstanding.
+    /// none is outstanding, and drops the entry if that leaves it idle.
+    /// Every change that can leave a resource idle ends here; removing a
+    /// waiter behind the head cannot, as the head or holder remains.
     fn pump_rid(&mut self, rid: ResourceId) {
-        let issue = {
-            let st = self.locks.entry(rid).or_default();
-            if st.requested || st.holder.is_some() {
-                None
-            } else {
-                // Abandoned waiters ahead of a request are just dropped —
-                // their client is gone and nothing was asked of the quorum.
-                while st.queue.front().is_some_and(|w| w.abandoned) {
-                    st.queue.pop_front();
-                }
-                st.queue.front().map(|w| w.deadline)
-            }
+        let Some(st) = self.locks.get_mut(&rid) else {
+            return;
         };
-        if let Some(deadline) = issue {
-            let st = self.locks.get_mut(&rid).unwrap();
-            st.requested = true;
-            self.proto.set_deadline_r(rid, deadline);
-            self.proto.request_cs_r(rid, &mut self.fx);
-            self.dispatch_effects();
+        if st.requested || st.holder.is_some() {
+            return;
         }
+        // Abandoned waiters ahead of a request are just dropped — their
+        // client is gone and nothing was asked of the quorum.
+        while st.queue.front().is_some_and(|w| w.abandoned) {
+            st.queue.pop_front();
+        }
+        let Some(deadline) = st.queue.front().map(|w| w.deadline) else {
+            self.locks.remove(&rid);
+            return;
+        };
+        st.requested = true;
+        self.proto.set_deadline_r(rid, deadline);
+        self.proto.request_cs_r(rid, &mut self.fx);
+        self.dispatch_effects();
     }
 
     /// Runs protocol effects to completion: route sends to peer links,
@@ -705,7 +711,6 @@ where
         let mut expired: Vec<(usize, ResourceId, u64)> = Vec::new();
         for (rid, st) in self.locks.iter_mut() {
             let skip_head = if st.requested { 1 } else { 0 };
-            let mut keep = 0usize;
             let mut i = 0usize;
             st.queue.retain(|w| {
                 let is_head = i < skip_head;
@@ -713,13 +718,9 @@ where
                 let dead = !is_head && !w.abandoned && w.deadline.is_some_and(|d| d <= now);
                 if dead {
                     expired.push((w.sess, *rid, w.req));
-                    false
-                } else {
-                    keep += 1;
-                    true
                 }
+                !dead
             });
-            let _ = keep;
         }
         for (sess, rid, req) in expired {
             self.counters.deadline_aborts += 1;
@@ -753,8 +754,7 @@ where
             return;
         }
         self.scratch.clear();
-        let payload = msg.to_bytes();
-        write_frame(&mut self.scratch, &payload);
+        encode_frame(&mut self.scratch, &msg);
         if s.conn.send_bytes(&self.scratch).is_err() {
             s.dead = true;
         } else {
@@ -773,8 +773,7 @@ where
             return; // link down; Reliable will retransmit
         }
         self.scratch.clear();
-        let payload = msg.to_bytes();
-        write_frame(&mut self.scratch, &payload);
+        encode_frame(&mut self.scratch, msg);
         let ok = self.links[li]
             .conn
             .as_mut()
@@ -841,7 +840,10 @@ where
         let rids: Vec<ResourceId> = self.locks.keys().copied().collect();
         for rid in rids {
             let (held, head_live) = {
-                let st = self.locks.get_mut(&rid).unwrap();
+                // Settling an earlier resource may have retired this one.
+                let Some(st) = self.locks.get_mut(&rid) else {
+                    continue;
+                };
                 let held = st.holder.is_some_and(|(s, _)| s == idx);
                 if held {
                     st.holder = None;

@@ -6,16 +6,22 @@
 //! valid frames carrying undecodable messages. The node must drop the
 //! offending session — counting it in `bad_frames` — without panicking
 //! and without wedging its healthy peers or clients.
+//!
+//! The structure-aware half builds one value of every message the wire
+//! carries and checks the encoder against the reference framing and the
+//! decoder against every truncation of it.
 
+use std::fmt::Debug;
 use std::sync::Arc;
 
+use qmx_core::delay_optimal::Body;
 use qmx_core::wire::Wire;
-use qmx_core::{ResourceId, SiteId};
-use qmx_runtime::frame::{write_frame, FrameBuf, MAX_FRAME};
+use qmx_core::{HbMsg, Msg, Packet, ResMsg, ResourceId, SeqNum, SiteId, Timestamp};
+use qmx_runtime::frame::{encode_frame, write_frame, FrameBuf, MAX_FRAME};
 use qmx_runtime::loopback::{LoopConn, LoopNet};
 use qmx_runtime::node::{Node, NodeConfig};
-use qmx_runtime::proto::{ClientMsg, Hello, ServerMsg};
-use qmx_runtime::stack::{build_stack, ServeStack, StackConfig};
+use qmx_runtime::proto::{ClientMsg, Hello, RejectReason, ServerMsg};
+use qmx_runtime::stack::{build_stack, ServeMsg, ServeStack, StackConfig};
 use qmx_runtime::transport::{Conn, Transport};
 
 /// One single-site cluster plus helpers to poke it with raw bytes.
@@ -363,4 +369,204 @@ fn garbage_on_peer_link_drops_link_not_node() {
     for n in nodes.iter_mut() {
         n.poll();
     }
+}
+
+/// One message of every `Msg` body kind, each with every optional field
+/// both set and unset.
+fn every_body() -> Vec<Body> {
+    let ts = |seq, site| Timestamp::new(seq, SiteId(site));
+    vec![
+        Body::Request { ts: ts(3, 1) },
+        Body::Reply {
+            arbiter: SiteId(2),
+            req: ts(4, 0),
+            transfer: None,
+        },
+        Body::Reply {
+            arbiter: SiteId(2),
+            req: ts(4, 0),
+            transfer: Some(ts(9, 5)),
+        },
+        Body::Release {
+            holder_req: ts(7, 2),
+            forwarded_to: None,
+        },
+        Body::Release {
+            holder_req: ts(7, 2),
+            forwarded_to: Some(ts(8, 3)),
+        },
+        Body::Inquire {
+            arbiter: SiteId(0),
+            holder_req: ts(1, 1),
+            transfer: None,
+        },
+        Body::Inquire {
+            arbiter: SiteId(0),
+            holder_req: ts(1, 1),
+            transfer: Some(ts(2, 2)),
+        },
+        Body::Fail {
+            arbiter: SiteId(3),
+            req: ts(11, 4),
+        },
+        Body::Yield { req: ts(12, 0) },
+        Body::Transfer {
+            arbiter: SiteId(1),
+            beneficiary: ts(13, 6),
+            holder_req: ts(10, 7),
+        },
+        Body::Relinquish { req: ts(14, 8) },
+        Body::Abandon { req: ts(15, 0) },
+        Body::Claim { holds: None },
+        Body::Claim {
+            holds: Some(ts(16, 2)),
+        },
+    ]
+}
+
+/// Every peer message shape: beats (empty and full vouch lists),
+/// rejoins, standalone acks, and app data carrying each body kind.
+fn every_serve_msg() -> Vec<ServeMsg> {
+    let mut out: Vec<ServeMsg> = vec![
+        HbMsg::Beat {
+            alive: Vec::new().into(),
+            suspects_you: false,
+        },
+        HbMsg::Beat {
+            alive: vec![SiteId(0), SiteId(2), SiteId(5)].into(),
+            suspects_you: true,
+        },
+        HbMsg::Rejoin { incarnation: 3 },
+        HbMsg::App(Packet::Ack { epoch: 2, ack: 17 }),
+    ];
+    for (i, body) in every_body().into_iter().enumerate() {
+        out.push(HbMsg::App(Packet::Data {
+            epoch: (7 << 32) + 1,
+            seq: 42 + i as u64,
+            ack_epoch: 3,
+            ack: 41,
+            payload: Arc::new(ResMsg {
+                rid: ResourceId(9 + i as u32),
+                body: Msg {
+                    clk: SeqNum(100),
+                    body,
+                },
+            }),
+        }));
+    }
+    out
+}
+
+fn every_hello() -> Vec<Hello> {
+    vec![
+        Hello::Peer {
+            site: SiteId(4),
+            incarnation: 2,
+        },
+        Hello::Client { id: u64::MAX },
+    ]
+}
+
+fn every_client_msg() -> Vec<ClientMsg> {
+    let rid = ResourceId(77);
+    vec![
+        ClientMsg::Acquire {
+            rid,
+            req: 1,
+            wait_us: None,
+        },
+        ClientMsg::Acquire {
+            rid,
+            req: 2,
+            wait_us: Some(300_000),
+        },
+        ClientMsg::Release { rid, req: 3 },
+        ClientMsg::Abort { rid, req: 4 },
+    ]
+}
+
+fn every_server_msg() -> Vec<ServerMsg> {
+    let rid = ResourceId(77);
+    let mut out = vec![
+        ServerMsg::Welcome { site: SiteId(8) },
+        ServerMsg::Granted { rid, req: 1 },
+        ServerMsg::Released { rid, req: 2 },
+        ServerMsg::Aborted { rid, req: 3 },
+    ];
+    for reason in [
+        RejectReason::NotHeld,
+        RejectReason::Busy,
+        RejectReason::AlreadyGranted,
+    ] {
+        out.push(ServerMsg::Rejected {
+            rid,
+            req: 4,
+            reason,
+        });
+    }
+    out
+}
+
+/// Frames `msgs` through `encode_frame`, one after another into a buffer
+/// that already holds bytes, and checks every frame against the reference
+/// `write_frame(&msg.to_bytes())`.
+fn check_encoding<M: Wire + Debug>(msgs: &[M]) {
+    const PREFIX: &[u8] = b"earlier bytes";
+    let mut wire = PREFIX.to_vec();
+    let mut reference = PREFIX.to_vec();
+    for msg in msgs {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &msg.to_bytes());
+        let mut alone = Vec::new();
+        encode_frame(&mut alone, msg);
+        assert_eq!(alone, frame, "{msg:?}");
+        encode_frame(&mut wire, msg);
+        reference.extend_from_slice(&frame);
+    }
+    assert_eq!(wire, reference, "frames appended after existing bytes");
+}
+
+/// Every strict prefix of each message's frame is incomplete to the
+/// framer, and every strict prefix of its payload fails to decode. The
+/// whole frame decodes back to the message.
+fn check_truncations<M: Wire + Debug>(msgs: &[M]) {
+    for msg in msgs {
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, msg);
+        for cut in 0..frame.len() {
+            let mut fb = FrameBuf::new();
+            fb.buf_mut().extend_from_slice(&frame[..cut]);
+            assert_eq!(fb.next_frame(), Ok(None), "{msg:?} cut at {cut}");
+            assert_eq!(fb.pending(), cut);
+        }
+        let payload = &frame[4..];
+        for cut in 0..payload.len() {
+            assert!(
+                M::from_bytes(&payload[..cut]).is_err(),
+                "{msg:?}: payload cut at {cut} decoded"
+            );
+        }
+        let mut fb = FrameBuf::new();
+        fb.buf_mut().extend_from_slice(&frame);
+        let whole = fb.next_frame().unwrap().expect("complete frame");
+        let back = M::from_bytes(&whole).expect("round trip");
+        assert_eq!(format!("{back:?}"), format!("{msg:?}"));
+        assert_eq!(fb.pending(), 0);
+    }
+}
+
+#[test]
+fn encode_frame_writes_the_reference_bytes() {
+    check_encoding(&every_hello());
+    check_encoding(&every_client_msg());
+    check_encoding(&every_server_msg());
+    check_encoding(&every_serve_msg());
+}
+
+#[test]
+fn truncated_frames_wait_and_truncated_payloads_fail() {
+    check_truncations(&every_hello());
+    check_truncations(&every_client_msg());
+    check_truncations(&every_server_msg());
+    check_truncations(&every_serve_msg());
 }

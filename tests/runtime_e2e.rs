@@ -313,3 +313,43 @@ fn single_site_serves_alternating_clients() {
     );
     assert!(cluster.node(0).unwrap().quiescent());
 }
+
+#[test]
+fn one_client_cycles_through_256_resources() {
+    // The lock table keeps only resources with a holder, a waiter or an
+    // outstanding request (the dev profile checks this after every poll),
+    // so serving 256 distinct locks leaves nothing behind, and quiescence
+    // still answers for every resource the stack has touched.
+    let mut cluster = LoopCluster::new(ClusterConfig::ring_majority(3));
+    cluster.run_for(50_000);
+
+    let c = cluster.add_client(1);
+    expect_welcome(&mut cluster, c);
+    for rid in 1..=256 {
+        let req = acquire_granted(&mut cluster, c, rid);
+        release_acked(&mut cluster, c, rid, req);
+    }
+
+    let site1 = cluster.counters(1);
+    assert_eq!((site1.grants, site1.releases), (256, 256));
+    for s in 0..3 {
+        let c = cluster.counters(s);
+        if s != 1 {
+            assert_eq!((c.grants, c.releases), (0, 0), "site {s}");
+        }
+        assert_eq!(
+            (
+                c.bad_frames,
+                c.rejects,
+                c.client_aborts,
+                c.deadline_aborts,
+                c.disconnect_releases
+            ),
+            (0, 0, 0, 0, 0),
+            "site {s}"
+        );
+        let node = cluster.node(s).unwrap();
+        assert!(node.held().is_empty(), "site {s} still holds a lock");
+        assert!(node.quiescent(), "site {s} not quiescent");
+    }
+}

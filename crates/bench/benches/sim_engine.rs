@@ -1,18 +1,14 @@
 //! Micro-benchmark of the discrete-event engine: virtual events per second
 //! on a contended mutual-exclusion workload (the cost of every experiment
 //! in this crate), per event-scheduler implementation (binary heap,
-//! calendar queue, timer wheel), plus the lazy-quorum large-N
+//! timer wheel), plus the lazy-quorum large-N
 //! configuration the wheel and the hot/cold protocol split exist for.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use qmx_bench::micro;
 use qmx_sim::SchedulerKind;
 
-const SCHEDULERS: [SchedulerKind; 3] = [
-    SchedulerKind::Heap,
-    SchedulerKind::Calendar,
-    SchedulerKind::Wheel,
-];
+const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Wheel];
 
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_engine");

@@ -6,8 +6,9 @@
 //!
 //! The `detector` group times the heartbeat path of the wrapper stack
 //! over the same transport: one site of a 25-site full mesh receiving a
-//! beat round, and its `next_timer()` query, which both drivers issue
-//! after every event or poll.
+//! beat round, one delivered beat with its 24-entry vouch list, and its
+//! `next_timer()` query, which both drivers issue after every event or
+//! poll.
 
 use std::hint::black_box;
 
@@ -102,6 +103,7 @@ fn beat_round() -> Vec<(SiteId, <Stack as Protocol>::Msg)> {
 
 fn bench_detector(c: &mut Criterion) {
     const ROUNDS: u64 = 1_000;
+    const BEATS: u64 = 10_000;
     const QUERIES: u64 = 100_000;
     let mut g = c.benchmark_group("detector");
     let round = beat_round();
@@ -122,6 +124,16 @@ fn bench_detector(c: &mut Criterion) {
         })
     });
     assert!(site.suspected().is_empty(), "every peer kept beating");
+    let (from, beat) = &round[0];
+    g.throughput(Throughput::Elements(BEATS));
+    g.bench_function("beat_handle_n25", |b| {
+        b.iter(|| {
+            for _ in 0..BEATS {
+                site.handle(*from, beat.clone(), &mut fx);
+            }
+            assert!(fx.take_sends().is_empty(), "a beat is not answered");
+        })
+    });
     assert!(site.next_timer().is_some());
     g.throughput(Throughput::Elements(QUERIES));
     g.bench_function("next_timer_n25", |b| {

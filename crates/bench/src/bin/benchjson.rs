@@ -1,5 +1,6 @@
 //! Writes the machine-readable benchmark trajectory `BENCH_qmx.json`:
-//! simulator events/sec (per event-scheduler implementation), large-N
+//! simulator events/sec (per event-scheduler implementation, each the
+//! median of five timed samples with their min and max), large-N
 //! lazy-quorum engine rows (events/sec plus a peak-RSS estimate at
 //! N = 10³ and 10⁵), protocol ns/step, model-checker state counts and
 //! DPOR reduction ratios, and wall-clock seconds per experiment, so
@@ -33,15 +34,14 @@ use std::time::Instant;
 /// scheduler rows and the `engine_large/*` section (lazy-quorum runs at
 /// N = 10³ and 10⁵ with a peak-RSS estimate). v5 added the
 /// `lockspace/*` section: sharded multi-resource runs over one
-/// transport/detector per link, gated on completed-CS counts.
-const SCHEMA: &str = "qmx-bench-trajectory/v5";
+/// transport/detector per link, gated on completed-CS counts. v6 drops
+/// the calendar-queue rows (the heap and the wheel remain) and times
+/// every engine row as the median of repeated samples, recording
+/// `seconds_min` and `seconds_max` beside it.
+const SCHEMA: &str = "qmx-bench-trajectory/v6";
 
-/// All three scheduler implementations, in the order rows are emitted.
-const SCHEDULERS: [SchedulerKind; 3] = [
-    SchedulerKind::Heap,
-    SchedulerKind::Calendar,
-    SchedulerKind::Wheel,
-];
+/// Both scheduler implementations, in the order rows are emitted.
+const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Wheel];
 
 /// Engine matrix sizes for the given mode.
 fn engine_ns(tiny: bool) -> Vec<usize> {
@@ -74,13 +74,31 @@ fn proto_ns(tiny: bool) -> Vec<usize> {
     }
 }
 
-/// (engine timing iters, protocol timing iters, contended sim rounds,
-/// large-N timing iters).
-fn iteration_params(tiny: bool) -> (usize, usize, u64, usize) {
+/// How an engine row is timed: `samples` samples, each at least
+/// `min_secs` of back-to-back runs.
+#[derive(Clone, Copy)]
+struct EngineTiming {
+    samples: usize,
+    min_secs: f64,
+}
+
+/// (engine row timing, protocol timing iters, contended sim rounds).
+/// Full mode samples each engine row five times for at least 50 ms: a
+/// single contended run takes well under a millisecond, so fewer runs
+/// would time the clock and the cache rather than the scheduler.
+fn iteration_params(tiny: bool) -> (EngineTiming, usize, u64) {
     if tiny {
-        (2, 200, 3, 1)
+        let timing = EngineTiming {
+            samples: 1,
+            min_secs: 0.0,
+        };
+        (timing, 200, 3)
     } else {
-        (10, 2_000, 20, 3)
+        let timing = EngineTiming {
+            samples: 5,
+            min_secs: 0.05,
+        };
+        (timing, 2_000, 20)
     }
 }
 
@@ -256,6 +274,43 @@ fn time_mean(iters: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() / iters as f64
 }
 
+/// Seconds per run of `f`: after one warm-up run, `timing.samples`
+/// samples, each the mean over as many back-to-back runs as fill
+/// `timing.min_secs`. Returns the samples' `(median, min, max)`.
+fn time_samples(timing: EngineTiming, mut f: impl FnMut()) -> (f64, f64, f64) {
+    f();
+    let mut samples: Vec<f64> = (0..timing.samples)
+        .map(|_| {
+            let start = Instant::now();
+            let mut runs = 0u32;
+            loop {
+                f();
+                runs += 1;
+                let elapsed = start.elapsed().as_secs_f64();
+                if elapsed >= timing.min_secs {
+                    break elapsed / f64::from(runs);
+                }
+            }
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    (
+        samples[samples.len() / 2],
+        samples[0],
+        samples[samples.len() - 1],
+    )
+}
+
+/// The timing fields of an engine row: the median seconds per run, its
+/// sample range, and the median rate.
+fn timing_fields(events: usize, (secs, min, max): (f64, f64, f64)) -> String {
+    let rate = events as f64 / secs;
+    format!(
+        "\"seconds\": {secs:.6}, \"seconds_min\": {min:.6}, \"seconds_max\": {max:.6}, \
+         \"events_per_sec\": {rate:.0}"
+    )
+}
+
 struct Args {
     tiny: bool,
     out: String,
@@ -319,7 +374,7 @@ fn json_u64_field(line: &str, key: &str) -> Option<u64> {
 /// mode: the contended small-N matrix followed by the lazy-quorum
 /// `engine_large/*` matrix, in file order.
 fn expected_engine_rows(tiny: bool) -> Vec<(String, u64)> {
-    let (_, _, sim_rounds, _) = iteration_params(tiny);
+    let (_, _, sim_rounds) = iteration_params(tiny);
     let mut rows = Vec::new();
     for &n in &engine_ns(tiny) {
         for kind in SCHEDULERS {
@@ -511,7 +566,7 @@ fn main() {
     if let Some(path) = &args.check {
         run_check(path);
     }
-    let (engine_iters, round_iters, sim_rounds, large_iters) = iteration_params(args.tiny);
+    let (engine_timing, round_iters, sim_rounds) = iteration_params(args.tiny);
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -529,9 +584,9 @@ fn main() {
     );
 
     // Discrete-event engine: virtual events per second of wall clock,
-    // one row per (size, scheduler) pair. The event counts of the heap,
-    // calendar, and wheel rows at the same size must be identical —
-    // that is the scheduler determinism contract, asserted here.
+    // one row per (size, scheduler) pair. The event counts of the heap
+    // and wheel rows at the same size must be identical — that is the
+    // scheduler determinism contract, asserted here.
     json.push_str("  \"engine\": [\n");
     let ns = engine_ns(args.tiny);
     let mut engine_rows: Vec<String> = Vec::new();
@@ -540,16 +595,16 @@ fn main() {
         for kind in SCHEDULERS {
             let events = micro::contended_sim_run_with(n, sim_rounds, kind);
             counts.push(events);
-            let secs = time_mean(engine_iters, || {
+            let timing = time_samples(engine_timing, || {
                 micro::contended_sim_run_with(n, sim_rounds, kind);
             });
-            let rate = events as f64 / secs;
+            let rate = events as f64 / timing.0;
             let label = kind.label();
             eprintln!("engine   contended_n{n}/{label}: {events} events, {rate:.0} events/sec");
             engine_rows.push(format!(
                 "    {{\"name\": \"contended_n{n}_{sim_rounds}rounds/{label}\", \
-                 \"events\": {events}, \"seconds\": {secs:.6}, \
-                 \"events_per_sec\": {rate:.0}}}"
+                 \"events\": {events}, {}}}",
+                timing_fields(events, timing)
             ));
         }
         assert!(
@@ -573,10 +628,10 @@ fn main() {
         for kind in SCHEDULERS {
             let events = micro::large_n_sim_run(n, req, kind);
             counts.push(events);
-            let secs = time_mean(large_iters, || {
+            let timing = time_samples(engine_timing, || {
                 micro::large_n_sim_run(n, req, kind);
             });
-            let rate = events as f64 / secs;
+            let rate = events as f64 / timing.0;
             let rss = peak_rss_kb();
             let label = kind.label();
             eprintln!(
@@ -585,8 +640,8 @@ fn main() {
             );
             large_rows.push(format!(
                 "    {{\"name\": \"engine_large/uncontended_n{n}_{req}req/{label}\", \
-                 \"events\": {events}, \"seconds\": {secs:.6}, \
-                 \"events_per_sec\": {rate:.0}, \"peak_rss_kb\": {rss}}}"
+                 \"events\": {events}, {}, \"peak_rss_kb\": {rss}}}",
+                timing_fields(events, timing)
             ));
         }
         assert!(

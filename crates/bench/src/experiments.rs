@@ -522,13 +522,12 @@ pub fn fault_tolerance(n: usize, crash_site: u32) -> String {
     )
 }
 
-/// **E12 — engineering ablation**: binary-heap vs calendar-queue vs
-/// timer-wheel event scheduler on the contended simulator workload. All
-/// schedulers must process the identical event sequence (asserted — the
-/// determinism contract); the table reports each one's events/sec and
-/// the calendar's and wheel's speedups over the heap. Cells are timed
-/// sequentially (no [`par_map`]) so sibling cells cannot distort the
-/// wall clocks.
+/// **E12 — engineering ablation**: binary-heap vs timer-wheel event
+/// scheduler on the contended simulator workload. Both schedulers must
+/// process the identical event sequence (asserted — the determinism
+/// contract); the table reports each one's events/sec and the wheel's
+/// speedup over the heap. Cells are timed sequentially (no
+/// [`par_map`]) so sibling cells cannot distort the wall clocks.
 pub fn scheduler_ablation(ns: &[usize], rounds: u64) -> String {
     use qmx_sim::SchedulerKind;
     use std::time::Instant;
@@ -537,20 +536,16 @@ pub fn scheduler_ablation(ns: &[usize], rounds: u64) -> String {
         "rounds",
         "events",
         "heap ev/s",
-        "calendar ev/s",
         "wheel ev/s",
-        "cal x",
         "wheel x",
     ]);
     for &n in ns {
         let events = crate::micro::contended_sim_run_with(n, rounds, SchedulerKind::Heap);
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Wheel] {
-            assert_eq!(
-                events,
-                crate::micro::contended_sim_run_with(n, rounds, kind),
-                "schedulers disagree on event count at n={n}"
-            );
-        }
+        assert_eq!(
+            events,
+            crate::micro::contended_sim_run_with(n, rounds, SchedulerKind::Wheel),
+            "schedulers disagree on event count at n={n}"
+        );
         // Best of several short windows: the per-window rate is the
         // quantity being estimated, and the fastest window is the one
         // least disturbed by scheduler noise on a shared box.
@@ -569,22 +564,19 @@ pub fn scheduler_ablation(ns: &[usize], rounds: u64) -> String {
             best
         };
         let heap = rate(SchedulerKind::Heap);
-        let calendar = rate(SchedulerKind::Calendar);
         let wheel = rate(SchedulerKind::Wheel);
         t.row([
             n.to_string(),
             rounds.to_string(),
             events.to_string(),
             format!("{heap:.0}"),
-            format!("{calendar:.0}"),
             format!("{wheel:.0}"),
-            f2(calendar / heap),
             f2(wheel / heap),
         ]);
     }
     format!(
-        "Scheduler ablation: heap vs calendar vs wheel event queue (E12, engineering)\n\
-         Event counts are identical by construction; speedups are over the heap.\n\n{}",
+        "Scheduler ablation: heap vs wheel event queue (E12, engineering)\n\
+         Event counts are identical by construction; the speedup is over the heap.\n\n{}",
         t.render()
     )
 }

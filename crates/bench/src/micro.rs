@@ -79,7 +79,7 @@ pub fn contended_sim_run(n: usize, rounds: u64) -> usize {
 }
 
 /// [`contended_sim_run`] pinned to one event-scheduler implementation,
-/// for the heap-vs-calendar ablation rows. The event count is identical
+/// for the heap-vs-wheel ablation rows. The event count is identical
 /// for either kind (the scheduler determinism contract); only the wall
 /// clock differs.
 pub fn contended_sim_run_with(n: usize, rounds: u64, scheduler: SchedulerKind) -> usize {
@@ -155,14 +155,10 @@ mod tests {
 
     #[test]
     fn large_n_run_is_scheduler_invariant() {
-        let counts: Vec<usize> = [
-            SchedulerKind::Heap,
-            SchedulerKind::Calendar,
-            SchedulerKind::Wheel,
-        ]
-        .into_iter()
-        .map(|kind| large_n_sim_run(300, 10, kind))
-        .collect();
+        let counts: Vec<usize> = [SchedulerKind::Heap, SchedulerKind::Wheel]
+            .into_iter()
+            .map(|kind| large_n_sim_run(300, 10, kind))
+            .collect();
         assert!(counts[0] > 10, "events = {}", counts[0]);
         assert!(
             counts.windows(2).all(|w| w[0] == w[1]),

@@ -87,9 +87,8 @@ pub enum Command {
         /// Recoveries as `site:time_t` pairs (each enables the detector:
         /// rejoin needs the heartbeat handshake, not the oracle).
         recoveries: Vec<(u32, u64)>,
-        /// Event-scheduler implementation (`heap`, `calendar`, or
-        /// `wheel`); the report is byte-identical under all three, only
-        /// wall clock differs.
+        /// Event-scheduler implementation (`heap` or `wheel`); the
+        /// report is byte-identical under both, only wall clock differs.
         scheduler: SchedulerKind,
         /// Per-request deadline in T units: requests abort (withdraw from
         /// every arbiter) once they wait this long. `None` = no deadlines.
@@ -224,7 +223,7 @@ USAGE:
              [--hb-interval T] [--hb-timeout T] [--recover site:timeT ...]
              [--deadline T] [--retry-backoff baseT:capT:attempts]
              [--resources R] [--zipf S]
-             [--scheduler heap|calendar|wheel]
+             [--scheduler heap|wheel]
   qmxctl quorum --kind Q --n N
   qmxctl check [--n N] [--rounds R] [--max-states M] [--quorum Q]
                [--crashes C] [--recoveries C] [--drops C] [--suspicions C]
@@ -274,9 +273,10 @@ WHERE:
       (Zipf exponent; 0 = uniform, 1 = classic heavy head). Requires
       --alg delay-optimal or no-forwarding; the report gains resource
       count and per-resource fairness lines
-  --scheduler picks the event-queue implementation (default: calendar,
-      or the QMX_SCHEDULER env var); reports are byte-identical for
-      every choice — only wall-clock time differs
+  --scheduler picks the event-queue implementation: wheel (the timer
+      wheel, default) or heap (the binary-heap reference). Without the
+      flag the QMX_SCHEDULER env var (heap|wheel) picks it; reports are
+      byte-identical for either choice — only wall-clock time differs
   check explores every interleaving of the scope with dynamic
       partial-order reduction; fault budgets add Crash/Recover/Drop and
       failure-detector verdict transitions (--suspicions bounds *false*
@@ -575,7 +575,7 @@ impl Cli {
                 let scheduler = match one(&f, "scheduler", "") {
                     "" => SchedulerKind::default(),
                     s => SchedulerKind::parse(s).ok_or_else(|| {
-                        ParseError(format!("--scheduler wants heap|calendar|wheel, got '{s}'"))
+                        ParseError(format!("--scheduler wants heap|wheel, got '{s}'"))
                     })?,
                 };
                 let deadline_t = opt_t("deadline")?;
@@ -1051,21 +1051,18 @@ mod tests {
             Command::Run { scheduler, .. } => assert_eq!(scheduler, SchedulerKind::Heap),
             other => panic!("unexpected {other:?}"),
         }
-        match parse("run --scheduler calendar").unwrap().command {
-            Command::Run { scheduler, .. } => assert_eq!(scheduler, SchedulerKind::Calendar),
-            other => panic!("unexpected {other:?}"),
-        }
         match parse("run --scheduler wheel").unwrap().command {
             Command::Run { scheduler, .. } => assert_eq!(scheduler, SchedulerKind::Wheel),
             other => panic!("unexpected {other:?}"),
         }
-        // Absent: the process-wide default (env var or calendar). Both
+        // Absent: the process-wide default (env var or wheel). Both
         // values are legal, so just check parsing succeeds.
         assert!(matches!(parse("run").unwrap().command, Command::Run { .. }));
         assert!(parse("run --scheduler fifo")
             .unwrap_err()
             .0
-            .contains("heap|calendar|wheel"));
+            .contains("heap|wheel"));
+        assert!(parse("run --scheduler calendar").is_err());
     }
 
     #[test]

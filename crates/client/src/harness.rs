@@ -13,9 +13,11 @@
 //!
 //! Fault injection is structural: [`kill`](LoopCluster::kill) drops a
 //! node (closing its listener and every connection it owns, exactly what
-//! a crashed process does to its sockets), and
+//! a crashed process does to its sockets),
 //! [`restart`](LoopCluster::restart) rebuilds it with a bumped
-//! incarnation so the stack's rejoin protocol runs.
+//! incarnation so the stack's rejoin protocol runs, and
+//! [`disconnect`](LoopCluster::disconnect) drops a client's connection
+//! the way an exiting client process does.
 
 use std::io;
 
@@ -91,7 +93,8 @@ pub struct LoopCluster {
     cfg: ClusterConfig,
     nodes: Vec<Option<Node<LoopTransport, ServeStack>>>,
     incarnations: Vec<u64>,
-    clients: Vec<ClientCore<LoopConn>>,
+    /// Client handles index this; a disconnected client's slot is `None`.
+    clients: Vec<Option<ClientCore<LoopConn>>>,
     next_client_id: u64,
 }
 
@@ -192,13 +195,21 @@ impl LoopCluster {
         self.next_client_id += 1;
         let mut t = self.net.transport();
         let core = ClientCore::connect(&mut t, &addr_of(site), id).expect("connect to a live site");
-        self.clients.push(core);
+        self.clients.push(Some(core));
         self.clients.len() - 1
     }
 
-    /// The client behind `handle`.
+    /// The client behind `handle` (panics once it is disconnected).
     pub fn client(&mut self, handle: usize) -> &mut ClientCore<LoopConn> {
-        &mut self.clients[handle]
+        self.clients[handle]
+            .as_mut()
+            .expect("client is disconnected")
+    }
+
+    /// Drops client `handle` and its connection, as when a client
+    /// process exits mid-request; its site sees the session close.
+    pub fn disconnect(&mut self, handle: usize) {
+        self.clients[handle] = None;
     }
 
     /// Polls every node and client once at the current instant. Returns
@@ -215,7 +226,7 @@ impl LoopCluster {
                 }
             }
         }
-        for c in self.clients.iter_mut() {
+        for c in self.clients.iter_mut().flatten() {
             c.poll();
         }
         wake
@@ -266,6 +277,6 @@ impl LoopCluster {
 
     /// Drains all pending events of client `handle`.
     pub fn events(&mut self, handle: usize) -> Vec<ClientEvent> {
-        self.clients[handle].drain_events()
+        self.client(handle).drain_events()
     }
 }

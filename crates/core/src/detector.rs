@@ -230,9 +230,6 @@ struct PeerState {
     /// (escalated to the inner protocol's definitive `on_site_failure`).
     /// Set only while the site is suspected but unconfirmed.
     confirm_at: Option<u64>,
-    /// Last time a third party's beat vouched for the site (indirect
-    /// liveness evidence; gates confirmation, never suspicion).
-    indirect_heard: Option<u64>,
     /// Last time an out-of-schedule echo-reply beat was sent to the site
     /// (rate limit: at most one per `hb_interval`).
     last_echo: Option<u64>,
@@ -249,6 +246,19 @@ impl PeerState {
     fn silent(&self, hb_timeout: u64, now: u64) -> bool {
         self.last_heard + hb_timeout <= now
     }
+
+    /// The earliest time the detector must wake on this site's behalf:
+    /// its suspicion deadline while it is monitored and unsuspected, or
+    /// its pending confirmation, whichever is earlier (`u64::MAX` for
+    /// neither).
+    fn deadline(&self, hb_timeout: u64) -> u64 {
+        let silence = if self.monitored && !self.suspected {
+            self.last_heard + hb_timeout
+        } else {
+            u64::MAX
+        };
+        silence.min(self.confirm_at.unwrap_or(u64::MAX))
+    }
 }
 
 /// Heartbeat failure detector layered over an inner [`Protocol`].
@@ -259,9 +269,12 @@ impl PeerState {
 /// reconstructed, but liveness monitoring is global).
 ///
 /// Per-site state lives in one flat table indexed by [`SiteId`], sized to
-/// the largest peer, so a received beat costs O(1) per vouched site and
+/// the largest peer. Beside it, two compact arrays hold what every
+/// message touches: each site's earliest deadline, so
 /// [`Protocol::next_timer`] — which drivers call after every event — is
-/// one contiguous scan. The table grows to cover a site outside `peers`
+/// a min over 8 bytes per site, and each site's third-party vouch
+/// expiry, so a received beat writes one word per vouched site. The
+/// table grows to cover a site outside `peers`
 /// once that site beats, announces a rejoin, or is named by an oracle
 /// notice. Nothing the detector decides depends on such a site before
 /// then: it is never timed for silence, its application traffic is not
@@ -278,6 +291,15 @@ pub struct Detector<P: Protocol> {
     next_beat: u64,
     /// Per-site state, indexed by `SiteId`.
     by_site: Vec<PeerState>,
+    /// `by_site[i].deadline(hb_timeout)`, refreshed by every path that
+    /// changes a site's `last_heard`, `suspected` or `confirm_at`, or
+    /// the table size.
+    due: Vec<u64>,
+    /// When the last third-party vouch for each site expires: the
+    /// vouching beat's arrival + `hb_timeout`, 0 if none arrived since
+    /// the start or the last recovery. Indirect liveness evidence gates
+    /// confirmation, never suspicion.
+    vouched_until: Vec<u64>,
     /// End of the post-recovery grace window, when open.
     rejoin_until: Option<u64>,
     /// This site's boot counter, stamped into outgoing `Rejoin`s.
@@ -300,6 +322,7 @@ impl<P: Protocol> Detector<P> {
         for p in &peers {
             by_site[p.index()].monitored = true;
         }
+        let due = by_site.iter().map(|s| s.deadline(cfg.hb_timeout)).collect();
         Detector {
             inner,
             cfg,
@@ -307,6 +330,8 @@ impl<P: Protocol> Detector<P> {
             now: 0,
             next_beat: 0,
             by_site,
+            due,
+            vouched_until: vec![0; len],
             rejoin_until: None,
             incarnation: 0,
             counters: DetectorCounters::default(),
@@ -353,9 +378,17 @@ impl<P: Protocol> Detector<P> {
 
     /// Grows the table to cover `site`.
     fn track(&mut self, site: SiteId) {
-        if site.index() >= self.by_site.len() {
-            self.by_site.resize(site.index() + 1, PeerState::default());
+        let len = site.index() + 1;
+        if len > self.by_site.len() {
+            self.by_site.resize(len, PeerState::default());
+            self.due.resize(len, u64::MAX);
+            self.vouched_until.resize(len, 0);
         }
+    }
+
+    /// Re-reads site `i`'s cached deadline after its state changed.
+    fn refresh_due(&mut self, i: usize) {
+        self.due[i] = self.by_site[i].deadline(self.cfg.hb_timeout);
     }
 
     /// The sites whose state satisfies `f`, in `SiteId` order.
@@ -406,13 +439,23 @@ impl<P: Protocol> Detector<P> {
         fx: &mut Effects<HbMsg<P::Msg>>,
     ) {
         let (me, now) = (self.inner.site(), self.now);
+        // `now` never decreases, so the latest vouch is the last written.
+        // A site the table does not cover cannot be confirmed before this
+        // vouch expires, so it is dropped (see `Detector`). The receiver
+        // and the sender never count: their entries are written with the
+        // rest and then put back, which keeps two data-dependent branches
+        // out of a loop that runs for every site named by every beat.
+        let until = now + self.cfg.hb_timeout;
+        let vouched = &mut self.vouched_until[..];
+        let kept = [me, from].map(|s| (s.index(), vouched.get(s.index()).copied()));
         for &b in alive {
-            if b != me && b != from {
-                // A site the table does not cover cannot be confirmed
-                // before this vouch expires (see `Detector`).
-                if let Some(s) = self.by_site.get_mut(b.index()) {
-                    s.indirect_heard = s.indirect_heard.max(Some(now));
-                }
+            if let Some(v) = vouched.get_mut(b.index()) {
+                *v = until;
+            }
+        }
+        for (i, old) in kept {
+            if let Some(old) = old {
+                vouched[i] = old;
             }
         }
         let i = from.index();
@@ -447,6 +490,7 @@ impl<P: Protocol> Detector<P> {
             if !s.suspected && now >= since + self.cfg.hb_timeout {
                 s.suspected = true;
                 s.reciprocal = true;
+                self.refresh_due(i);
                 self.counters.reciprocal_suspicions += 1;
                 self.with_inner(fx, |p, ifx| p.on_site_suspected(from, ifx));
             }
@@ -457,6 +501,7 @@ impl<P: Protocol> Detector<P> {
                 // The peer hears us again: the one-way cut healed, so the
                 // reciprocal suspicion is withdrawn.
                 s.suspected = false;
+                self.refresh_due(i);
                 self.with_inner(fx, |p, ifx| p.on_site_restored(from, ifx));
             }
         }
@@ -467,13 +512,15 @@ impl<P: Protocol> Detector<P> {
     /// suspicion) or rejoin handling. `rejoin` carries the announcement's
     /// incarnation when the message was a [`HbMsg::Rejoin`].
     fn heard_from(&mut self, from: SiteId, rejoin: Option<u64>, fx: &mut Effects<HbMsg<P::Msg>>) {
-        let s = &mut self.by_site[from.index()];
+        let i = from.index();
+        let s = &mut self.by_site[i];
         s.last_heard = self.now;
         s.confirm_at = None;
         // A reciprocal suspect is heard from constantly — hearing it is
         // not news. Its suspicion ends when the peer's echo clears (see
         // `note_view`) or when it rejoins after a genuine restart.
         let was_suspected = !s.reciprocal && std::mem::take(&mut s.suspected);
+        let mut rejoined = None;
         if let Some(inc) = rejoin {
             s.reciprocal = false;
             s.echoed_since = None;
@@ -486,13 +533,16 @@ impl<P: Protocol> Detector<P> {
             // at most once. Incarnation 0 means the driver tracks no boot
             // counter; preserve the legacy process-every-announcement
             // behaviour for it.
-            let dup = inc > 0 && s.last_rejoin_inc >= inc;
-            if !dup {
+            if inc == 0 || s.last_rejoin_inc < inc {
                 s.last_rejoin_inc = inc;
-                self.counters.rejoins_observed += 1;
-                self.with_inner(fx, |p, ifx| p.on_peer_rejoined(from, inc, ifx));
+                rejoined = Some(inc);
             }
-        } else if was_suspected {
+        }
+        self.refresh_due(i);
+        if let Some(inc) = rejoined {
+            self.counters.rejoins_observed += 1;
+            self.with_inner(fx, |p, ifx| p.on_peer_rejoined(from, inc, ifx));
+        } else if rejoin.is_none() && was_suspected {
             self.counters.false_suspicions += 1;
             self.with_inner(fx, |p, ifx| p.on_site_restored(from, ifx));
         }
@@ -512,6 +562,7 @@ where
             .field("now", &self.now)
             .field("next_beat", &self.next_beat)
             .field("by_site", &self.by_site)
+            .field("vouched_until", &self.vouched_until)
             .field("rejoin_until", &self.rejoin_until)
             .field("incarnation", &self.incarnation)
             .finish()
@@ -534,7 +585,9 @@ impl<P: Protocol> Protocol for Detector<P> {
         // false-suspicion *restore* path for a site that in fact lost all
         // its state.
         for p in &self.peers {
-            self.by_site[p.index()].last_heard = self.now;
+            let s = &mut self.by_site[p.index()];
+            s.last_heard = self.now;
+            self.due[p.index()] = s.deadline(self.cfg.hb_timeout);
         }
         self.next_beat = self.now + self.cfg.hb_interval;
         self.with_inner(fx, |p, ifx| p.on_start(ifx));
@@ -639,6 +692,7 @@ impl<P: Protocol> Protocol for Detector<P> {
         let s = &mut self.by_site[failed.index()];
         s.suspected = true;
         s.confirm_at = None;
+        self.refresh_due(failed.index());
         self.with_inner(fx, |p, ifx| p.on_site_failure(failed, ifx));
     }
 
@@ -650,14 +704,16 @@ impl<P: Protocol> Protocol for Detector<P> {
             self.by_site[p.index()].last_heard = self.now;
             fx.send(p, HbMsg::Rejoin { incarnation });
         }
-        for s in &mut self.by_site {
+        for (s, due) in self.by_site.iter_mut().zip(&mut self.due) {
             *s = PeerState {
                 monitored: s.monitored,
                 last_heard: s.last_heard,
                 last_rejoin_inc: s.last_rejoin_inc,
                 ..PeerState::default()
             };
+            *due = s.deadline(self.cfg.hb_timeout);
         }
+        self.vouched_until.fill(0);
         self.counters.rejoins_sent += 1;
         self.next_beat = self.now + self.cfg.hb_interval;
         self.rejoin_until = Some(self.now + self.cfg.rejoin_wait);
@@ -675,17 +731,26 @@ impl<P: Protocol> Protocol for Detector<P> {
     }
 
     fn next_timer(&self) -> Option<u64> {
-        // One pass over the table: the suspicion deadline of every
-        // unsuspected peer and every pending confirmation.
-        let mut due = self.next_beat;
-        for s in &self.by_site {
-            if s.monitored && !s.suspected {
-                due = due.min(s.last_heard + self.cfg.hb_timeout);
-            }
-            if let Some(c) = s.confirm_at {
-                due = due.min(c);
+        // The suspicion deadline of every unsuspected peer and every
+        // pending confirmation, cached per site. A plain compare loop: on
+        // the x86-64 baseline the vectorized `u64` minimum that
+        // `Iterator::min` compiles to is twice as slow at this length.
+        let mut sites = u64::MAX;
+        for &d in &self.due {
+            if d < sites {
+                sites = d;
             }
         }
+        debug_assert_eq!(
+            sites,
+            self.by_site
+                .iter()
+                .map(|s| s.deadline(self.cfg.hb_timeout))
+                .min()
+                .unwrap_or(u64::MAX),
+            "cached detector deadlines out of date"
+        );
+        let mut due = self.next_beat.min(sites);
         if let Some(r) = self.rejoin_until {
             due = due.min(r);
         }
@@ -731,6 +796,7 @@ impl<P: Protocol> Protocol for Detector<P> {
             let s = &mut self.by_site[p.index()];
             s.suspected = true;
             s.confirm_at = Some(lease_end);
+            self.refresh_due(p.index());
             self.counters.suspicions += 1;
             self.with_inner(fx, |proto, ifx| proto.on_site_suspected(p, ifx));
         }
@@ -740,11 +806,12 @@ impl<P: Protocol> Protocol for Detector<P> {
         // peer is still eventually confirmed (and normal hearing resumes
         // withdrawing it). The inner protocol already got its
         // `on_site_suspected`.
-        for s in &mut self.by_site {
+        for (s, due) in self.by_site.iter_mut().zip(&mut self.due) {
             if s.reciprocal && s.silent(hb_timeout, self.now) {
                 s.reciprocal = false;
                 s.echoed_since = None;
                 s.confirm_at = Some(lease_end);
+                *due = s.deadline(hb_timeout);
             }
         }
         // Escalate suspicions that stayed silent through the whole
@@ -760,15 +827,16 @@ impl<P: Protocol> Protocol for Detector<P> {
             // For a genuinely crashed site every voucher goes silent about
             // it within one timeout, so confirmation is deferred by at
             // most ~hb_timeout, never forever.
-            let s = &mut self.by_site[p.index()];
-            if let Some(ih) = s.indirect_heard {
-                if ih + hb_timeout > self.now {
-                    s.confirm_at = Some(ih + hb_timeout);
-                    self.counters.confirms_deferred += 1;
-                    continue;
-                }
+            let i = p.index();
+            let vouched_until = self.vouched_until[i];
+            if vouched_until > self.now {
+                self.by_site[i].confirm_at = Some(vouched_until);
+                self.refresh_due(i);
+                self.counters.confirms_deferred += 1;
+                continue;
             }
-            s.confirm_at = None;
+            self.by_site[i].confirm_at = None;
+            self.refresh_due(i);
             self.counters.failures_confirmed += 1;
             self.with_inner(fx, |proto, ifx| proto.on_site_failure(p, ifx));
         }
@@ -1496,5 +1564,110 @@ mod tests {
             })
             .expect("beat to peer 2");
         assert!(to2.1, "the suspect must be told it is suspected");
+    }
+
+    /// A beat's vouch list writes one expiry per named third party: the
+    /// receiver (site 0) and the sender are skipped, a site outside the
+    /// table is dropped without growing it, and a suspect is recorded.
+    #[test]
+    fn vouches_skip_receiver_sender_and_untracked_sites() {
+        let mut d = det(4);
+        let mut fx = Effects::new();
+        d.on_start(&mut fx);
+        d.set_now(40);
+        d.on_timer(40, &mut fx);
+        assert_eq!(d.suspected().len(), 3, "every peer silent since 0");
+        d.handle(SiteId(1), vouch(&[0, 1, 2, 3, 9]), &mut fx);
+        assert_eq!(d.vouched_until, vec![0, 0, 40 + 35, 40 + 35]);
+        assert_eq!(d.by_site.len(), 4, "a vouch does not grow the table");
+        assert_eq!(d.due.len(), 4);
+        // The vouch leaves the suspect's deadline (its lease) alone.
+        assert_eq!(d.due[3], 40 + 100);
+    }
+
+    /// The confirmation lease of a suspect that a third party vouches
+    /// for ends exactly `hb_timeout` after the last vouch: not a tick
+    /// earlier, not a tick later.
+    #[test]
+    fn confirmation_waits_exactly_until_the_last_vouch_expires() {
+        let mut d = det(3);
+        let mut fx = Effects::new();
+        d.on_start(&mut fx);
+        // Peer 1 beats every 10 ticks vouching for the silent peer 2,
+        // which is suspected at 40 with its lease ending at 140.
+        for t in (10..=130).step_by(10) {
+            d.set_now(t);
+            d.handle(SiteId(1), vouch(&[2]), &mut fx);
+            d.on_timer(t, &mut fx);
+        }
+        assert!(d.suspected().contains(&SiteId(2)));
+        assert_eq!(d.due[2], 140);
+        // From 140 on peer 1 beats without naming 2: its last vouch was
+        // at 130, so the lease is deferred to 130 + 35.
+        d.set_now(140);
+        d.handle(SiteId(1), beat(), &mut fx);
+        d.on_timer(140, &mut fx);
+        assert_eq!(d.counters().confirms_deferred, 1);
+        assert_eq!(d.due[2], 165);
+        d.set_now(164);
+        d.on_timer(164, &mut fx);
+        assert!(
+            d.inner().failed.is_empty(),
+            "confirmed before the vouch expired"
+        );
+        d.set_now(165);
+        d.on_timer(165, &mut fx);
+        assert_eq!(d.inner().failed, vec![SiteId(2)]);
+        assert_eq!(d.due[2], u64::MAX, "a confirmed site has no deadline");
+    }
+
+    #[test]
+    fn recovery_forgets_vouches() {
+        let mut d = det(3);
+        let mut fx = Effects::new();
+        d.on_start(&mut fx);
+        d.set_now(5);
+        d.handle(SiteId(1), vouch(&[2]), &mut fx);
+        assert_eq!(d.vouched_until[2], 5 + 35);
+        d.set_now(20);
+        d.on_recover(&mut fx);
+        assert_eq!(d.vouched_until, vec![0; 3]);
+        assert_eq!(d.due, vec![u64::MAX, 20 + 35, 20 + 35]);
+    }
+
+    /// Each path that changes whether or when a site is timed moves its
+    /// cached deadline: an oracle notice removes it, a reciprocal
+    /// suspicion removes it, and the suspicion's withdrawal restores the
+    /// silence deadline.
+    #[test]
+    fn deadlines_follow_notices_and_reciprocal_suspicions() {
+        let mut d = det(3);
+        let mut fx = Effects::new();
+        d.on_start(&mut fx);
+        assert_eq!(d.due, vec![u64::MAX, 35, 35]);
+        d.set_now(5);
+        d.handle(SiteId(1), beat(), &mut fx);
+        assert_eq!(d.due[1], 5 + 35);
+        d.on_site_failure(SiteId(2), &mut fx);
+        assert_eq!(d.due[2], u64::MAX, "an oracle notice arms no lease");
+        assert_eq!(d.next_timer(), Some(10), "the next beat round");
+        // Peer 1 echoes a suspicion of us from 10 on; it matures at 45.
+        for t in [10u64, 20, 30, 40] {
+            d.set_now(t);
+            d.handle(SiteId(1), echo(), &mut fx);
+        }
+        assert_eq!(d.due[1], 40 + 35);
+        d.set_now(45);
+        d.handle(SiteId(1), echo(), &mut fx);
+        assert_eq!(d.counters().reciprocal_suspicions, 1);
+        assert_eq!(d.due[1], u64::MAX, "a reciprocal suspect is not timed");
+        // Its echo clears: the suspicion is withdrawn and silence is
+        // timed again from this beat.
+        d.set_now(50);
+        d.handle(SiteId(1), beat(), &mut fx);
+        assert!(d.suspected().contains(&SiteId(2)));
+        assert!(!d.suspected().contains(&SiteId(1)));
+        assert_eq!(d.due[1], 50 + 35);
+        fx.take_sends();
     }
 }

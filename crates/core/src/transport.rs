@@ -202,6 +202,10 @@ struct LinkState<M> {
     sent: u64,
     /// Outgoing packets not yet cumulatively acked, by sequence number.
     unacked: BTreeMap<u64, Pending<M>>,
+    /// Earliest `next_retry_at` in `unacked` (`None` when it is empty).
+    /// A send lowers it; every path that drops or reschedules packets
+    /// recomputes it for this link only.
+    retry_at: Option<u64>,
     /// Epoch of the peer's send half currently being accepted.
     recv_epoch: u64,
     /// Highest sequence number received *in order* on the incoming half.
@@ -222,11 +226,18 @@ impl<M> LinkState<M> {
             send_epoch: epoch_base,
             sent: 0,
             unacked: BTreeMap::new(),
+            retry_at: None,
             recv_epoch: 0,
             recv_cum: 0,
             reorder: BTreeMap::new(),
             peer_inc: 0,
         }
+    }
+
+    /// Re-reads `retry_at` after packets left `unacked` or were
+    /// rescheduled.
+    fn refresh_retry(&mut self) {
+        self.retry_at = self.unacked.values().map(|p| p.next_retry_at).min();
     }
 }
 
@@ -243,11 +254,14 @@ pub struct Reliable<P: Protocol> {
     /// [`Protocol::set_incarnation`]); 0 for drivers that track none.
     incarnation: u64,
     links: BTreeMap<SiteId, LinkState<P::Msg>>,
-    /// Earliest retransmit deadline over every link's `unacked`. Every
-    /// entry point that changes a backlog re-reads it (`refresh_retry`),
-    /// so [`Protocol::next_timer`], which drivers call after every event,
-    /// reads a field instead of walking the backlogs.
+    /// Earliest retransmit deadline over every link's `unacked`, so
+    /// [`Protocol::next_timer`], which drivers call after every event,
+    /// reads a field instead of walking the backlogs. A send lowers it;
+    /// a path that drops or reschedules packets re-reads it from the
+    /// links' cached deadlines (`refresh_retry`) when that can raise it.
     next_retry: Option<u64>,
+    /// Packets awaiting acks over every link.
+    unacked: u64,
     counters: TransportCounters,
 }
 
@@ -261,6 +275,7 @@ impl<P: Protocol> Reliable<P> {
             incarnation: 0,
             links: BTreeMap::new(),
             next_retry: None,
+            unacked: 0,
             counters: TransportCounters::default(),
         }
     }
@@ -275,21 +290,27 @@ impl<P: Protocol> Reliable<P> {
         self.counters
     }
 
-    /// One pass over every link's backlog: the packets awaiting acks, and
-    /// the earliest retransmit deadline among them.
+    /// One pass over the links: the packets awaiting acks, and the
+    /// earliest of the links' cached retransmit deadlines (checked
+    /// against each link's backlog).
     fn backlog(&self) -> (u64, Option<u64>) {
         self.links.values().fold((0, None), |(total, due), l| {
-            let first = l.unacked.values().map(|p| p.next_retry_at).min();
-            (total + l.unacked.len() as u64, earliest(due, first))
+            debug_assert_eq!(
+                l.retry_at,
+                l.unacked.values().map(|p| p.next_retry_at).min(),
+                "cached link retransmit deadline out of date"
+            );
+            (total + l.unacked.len() as u64, earliest(due, l.retry_at))
         })
     }
 
-    /// Re-reads the cached retransmit deadline after a backlog changed,
-    /// returning the number of packets awaiting acks.
-    fn refresh_retry(&mut self) -> u64 {
-        let (total, due) = self.backlog();
-        self.next_retry = due;
-        total
+    /// Re-reads the overall retransmit deadline from the links' cached
+    /// deadlines, after packets left a backlog or were rescheduled.
+    fn refresh_retry(&mut self) {
+        self.next_retry = self
+            .links
+            .values()
+            .fold(None, |due, l| earliest(due, l.retry_at));
     }
 
     /// Converts queued inner-protocol sends into sequenced data packets.
@@ -307,15 +328,20 @@ impl<P: Protocol> Reliable<P> {
                 .or_insert_with(|| LinkState::fresh(base));
             link.sent += 1;
             let seq = link.sent;
+            let next_retry_at = self.now + self.cfg.rto_initial;
             link.unacked.insert(
                 seq,
                 Pending {
                     payload: Arc::clone(&payload),
                     retries: 0,
-                    next_retry_at: self.now + self.cfg.rto_initial,
+                    next_retry_at,
                     rto: self.cfg.rto_initial,
                 },
             );
+            link.retry_at = earliest(link.retry_at, Some(next_retry_at));
+            self.next_retry = earliest(self.next_retry, Some(next_retry_at));
+            self.unacked += 1;
+            self.counters.max_unacked = self.counters.max_unacked.max(self.unacked);
             self.counters.data_sent += 1;
             fx.send(
                 to,
@@ -328,56 +354,71 @@ impl<P: Protocol> Reliable<P> {
                 },
             );
         }
-        let unacked = self.refresh_retry();
-        self.counters.max_unacked = self.counters.max_unacked.max(unacked);
     }
 
     /// Retransmits every packet whose retry deadline has passed, giving up
-    /// on those out of retries. The caller's closing `wrap_sends` re-reads
-    /// the cached deadline.
+    /// on those out of retries, on the links whose cached deadline is
+    /// due.
     fn retransmit_due(&mut self, fx: &mut Effects<Packet<P::Msg>>) {
         let now = self.now;
         let (rto_max, max_retries) = (self.cfg.rto_max, self.cfg.max_retries);
+        let (counters, unacked) = (&mut self.counters, &mut self.unacked);
         for (&to, link) in self.links.iter_mut() {
-            let due: Vec<u64> = link
-                .unacked
-                .iter()
-                .filter(|(_, p)| p.next_retry_at <= now)
-                .map(|(&s, _)| s)
-                .collect();
-            for seq in due {
-                let p = link.unacked.get_mut(&seq).expect("due seq present");
-                if p.retries >= max_retries {
-                    link.unacked.remove(&seq);
-                    self.counters.gave_up += 1;
-                    continue;
-                }
-                p.retries += 1;
-                p.rto = (p.rto * 2).min(rto_max);
-                p.next_retry_at = now + p.rto;
-                self.counters.retransmissions += 1;
-                fx.send(
-                    to,
-                    Packet::Data {
-                        epoch: link.send_epoch,
-                        seq,
-                        ack_epoch: link.recv_epoch,
-                        ack: link.recv_cum,
-                        payload: p.payload.clone(),
-                    },
-                );
+            if link.retry_at.is_none_or(|due| due > now) {
+                continue;
             }
+            // One in-order pass retransmits, gives up, and re-derives
+            // the link's deadline from the packets it keeps.
+            let mut retry_at = None;
+            link.unacked.retain(|&seq, p| {
+                if p.next_retry_at <= now {
+                    if p.retries >= max_retries {
+                        counters.gave_up += 1;
+                        *unacked -= 1;
+                        return false;
+                    }
+                    p.retries += 1;
+                    p.rto = (p.rto * 2).min(rto_max);
+                    p.next_retry_at = now + p.rto;
+                    counters.retransmissions += 1;
+                    fx.send(
+                        to,
+                        Packet::Data {
+                            epoch: link.send_epoch,
+                            seq,
+                            ack_epoch: link.recv_epoch,
+                            ack: link.recv_cum,
+                            payload: p.payload.clone(),
+                        },
+                    );
+                }
+                retry_at = earliest(retry_at, Some(p.next_retry_at));
+                true
+            });
+            link.retry_at = retry_at;
         }
+        self.refresh_retry();
     }
 
     /// Applies a cumulative ack from `from`, provided it refers to the
     /// current incarnation of the outgoing half-link (a straggler ack from
     /// before the peer's restart must not confirm new-incarnation packets).
     fn apply_ack(&mut self, from: SiteId, epoch: u64, ack: u64) {
-        if let Some(link) = self.links.get_mut(&from) {
-            if epoch == link.send_epoch {
-                link.unacked.retain(|&seq, _| seq > ack);
-            }
+        let Some(link) = self.links.get_mut(&from).filter(|l| l.send_epoch == epoch) else {
+            return;
+        };
+        let before = link.unacked.len();
+        link.unacked.retain(|&seq, _| seq > ack);
+        let acked = before - link.unacked.len();
+        if acked == 0 {
+            return;
+        }
+        self.unacked -= acked as u64;
+        let led = link.retry_at == self.next_retry;
+        link.refresh_retry();
+        // Only the link that held the overall deadline can raise it.
+        if led {
+            self.refresh_retry();
         }
     }
 }
@@ -413,10 +454,7 @@ impl<P: Protocol> Protocol for Reliable<P> {
 
     fn handle(&mut self, from: SiteId, msg: Self::Msg, fx: &mut Effects<Self::Msg>) {
         match msg {
-            Packet::Ack { epoch, ack } => {
-                self.apply_ack(from, epoch, ack);
-                self.refresh_retry();
-            }
+            Packet::Ack { epoch, ack } => self.apply_ack(from, epoch, ack),
             Packet::Data {
                 epoch,
                 seq,
@@ -438,7 +476,6 @@ impl<P: Protocol> Protocol for Reliable<P> {
                     // stale-epoch acks are ignored anyway). The piggybacked
                     // ack above still counts.
                     self.counters.stale_epoch_dropped += 1;
-                    self.refresh_retry();
                     return;
                 }
                 if epoch > link.recv_epoch {
@@ -505,9 +542,9 @@ impl<P: Protocol> Protocol for Reliable<P> {
 
     fn next_timer(&self) -> Option<u64> {
         debug_assert_eq!(
-            self.next_retry,
-            self.backlog().1,
-            "cached retransmit deadline out of date"
+            (self.unacked, self.next_retry),
+            self.backlog(),
+            "cached backlog or retransmit deadline out of date"
         );
         // Merge the inner protocol's timers (e.g. a request deadline) so
         // wrapping in a transport never silences them.
@@ -595,8 +632,12 @@ impl<P: Protocol> Protocol for Reliable<P> {
         // case the "failure" was a partition that later heals (stale
         // retransmissions from the peer then still dedup correctly).
         if let Some(link) = self.links.get_mut(&failed) {
-            self.counters.gave_up += link.unacked.len() as u64;
+            let dropped = link.unacked.len() as u64;
+            self.counters.gave_up += dropped;
+            self.unacked -= dropped;
             link.unacked.clear();
+            link.retry_at = None;
+            self.refresh_retry();
         }
         let mut inner_fx = Effects::new();
         self.inner.on_site_failure(failed, &mut inner_fx);
@@ -649,6 +690,8 @@ impl<P: Protocol> Protocol for Reliable<P> {
             // renumbered from 1 and retransmitted below, ahead of anything
             // the inner protocol sends in response to the announcement.
             let pending = std::mem::take(&mut link.unacked);
+            link.retry_at = None;
+            self.unacked -= pending.len() as u64;
             link.send_epoch += 1;
             link.sent = 0;
             // Receive half: expect exactly the announced incarnation's
@@ -660,6 +703,7 @@ impl<P: Protocol> Protocol for Reliable<P> {
                 link.recv_cum = 0;
                 link.reorder.clear();
             }
+            self.refresh_retry();
             for (_, p) in pending {
                 let payload = Arc::try_unwrap(p.payload).unwrap_or_else(|shared| (*shared).clone());
                 replay.send(site, payload);
@@ -714,7 +758,7 @@ impl<P: Protocol + fmt::Debug> fmt::Debug for Reliable<P> {
         f.debug_struct("Reliable")
             .field("inner", &self.inner)
             .field("now", &self.now)
-            .field("unacked", &self.backlog().0)
+            .field("unacked", &self.unacked)
             .finish()
     }
 }
@@ -1471,5 +1515,108 @@ mod tests {
             deliver_all(&mut fx, &mut both);
         }
         assert!(s0.in_cs());
+    }
+
+    /// Recomputes what the caches hold from scratch and asserts they
+    /// agree: each link's earliest retry, the backlog count, and
+    /// `next_timer()` as the earliest retry of any unacked packet or the
+    /// inner protocol's timer.
+    fn assert_caches_exact(r: &R, step: &str) {
+        for (site, l) in &r.links {
+            let first = l.unacked.values().map(|p| p.next_retry_at).min();
+            assert_eq!(l.retry_at, first, "{step}: link to {site:?}");
+        }
+        let total: usize = r.links.values().map(|l| l.unacked.len()).sum();
+        assert_eq!(r.unacked, total as u64, "{step}: backlog count");
+        let retry = r
+            .links
+            .values()
+            .flat_map(|l| l.unacked.values())
+            .map(|p| p.next_retry_at)
+            .min();
+        let brute = earliest(retry, r.inner.next_timer());
+        assert_eq!(r.next_timer(), brute, "{step}: next_timer");
+    }
+
+    /// Every path that drops or reschedules packets keeps the cached
+    /// retransmit deadlines exact: an ack of a prefix, a retransmit with
+    /// backoff, a give-up at `max_retries`, a failure notice's clear and
+    /// a rejoin's rebase.
+    #[test]
+    fn retransmit_deadlines_stay_exact_on_every_path() {
+        let cfg = TransportConfig {
+            rto_initial: 10,
+            rto_max: 40,
+            max_retries: 2,
+        };
+        let quorum = vec![SiteId(0), SiteId(1), SiteId(2)];
+        let mut s0 = Reliable::new(DelayOptimal::new(SiteId(0), quorum, Config::default()), cfg);
+        let mut fx = Effects::new();
+        // A request (seq 1, due at 10) and its abandonment (seq 2, due
+        // at 13) on the links to sites 1 and 2; nothing is delivered.
+        s0.request_cs(&mut fx);
+        s0.set_now(3);
+        assert!(s0.abort_cs(&mut fx));
+        assert_eq!(fx.take_sends().len(), 4);
+        assert_caches_exact(&s0, "two packets per link");
+        assert_eq!(s0.next_timer(), Some(10));
+
+        s0.handle(SiteId(1), Packet::Ack { epoch: 0, ack: 1 }, &mut fx);
+        assert_caches_exact(&s0, "prefix ack");
+        assert_eq!(s0.links[&SiteId(1)].retry_at, Some(13));
+        assert_eq!(s0.next_timer(), Some(10), "site 2's request still leads");
+
+        // Site 2's request goes out again at 10 with a doubled timeout.
+        s0.on_timer(10, &mut fx);
+        assert_eq!(fx.take_sends().len(), 1);
+        assert_caches_exact(&s0, "retransmit with backoff");
+        assert_eq!(s0.next_timer(), Some(13));
+
+        // Run the retransmissions until site 2's request exhausts its
+        // two retries and is given up.
+        while s0.counters().gave_up == 0 {
+            let due = s0.next_timer().expect("packets are pending");
+            s0.on_timer(due, &mut fx);
+            fx.take_sends();
+            assert_caches_exact(&s0, &format!("retransmit pass at {due}"));
+        }
+        assert_eq!(s0.counters().gave_up, 1);
+        assert_caches_exact(&s0, "give-up");
+
+        s0.on_site_failure(SiteId(2), &mut fx);
+        assert!(s0.links[&SiteId(2)].unacked.is_empty());
+        assert_eq!(s0.links[&SiteId(2)].retry_at, None);
+        assert_caches_exact(&s0, "failure notice clear");
+
+        // Site 1 rejoins: its unacked abandonment is renumbered into the
+        // new epoch and sent again, due one initial timeout from now.
+        let now = s0.now;
+        s0.on_peer_rejoined(SiteId(1), 1, &mut fx);
+        assert!(!fx.take_sends().is_empty());
+        assert_caches_exact(&s0, "rejoin rebase");
+        assert_eq!(s0.next_timer(), Some(now + cfg.rto_initial));
+    }
+
+    /// An ack that drains the link holding the overall retransmit
+    /// deadline hands the lead to the next link's deadline.
+    #[test]
+    fn ack_of_the_leading_link_raises_the_overall_deadline() {
+        let cfg = TransportConfig {
+            rto_initial: 10,
+            rto_max: 40,
+            max_retries: 2,
+        };
+        let quorum = vec![SiteId(0), SiteId(1), SiteId(2)];
+        let mut s0 = Reliable::new(DelayOptimal::new(SiteId(0), quorum, Config::default()), cfg);
+        let mut fx = Effects::new();
+        s0.request_cs(&mut fx);
+        s0.set_now(3);
+        assert!(s0.abort_cs(&mut fx));
+        s0.handle(SiteId(1), Packet::Ack { epoch: 0, ack: 2 }, &mut fx);
+        assert_caches_exact(&s0, "site 1 acks everything");
+        assert_eq!(s0.next_timer(), Some(10), "site 2's request leads");
+        s0.handle(SiteId(2), Packet::Ack { epoch: 0, ack: 1 }, &mut fx);
+        assert_caches_exact(&s0, "site 2 acks its request");
+        assert_eq!(s0.next_timer(), Some(13), "site 2's abandonment leads");
     }
 }

@@ -547,22 +547,13 @@ where
                 };
                 match outcome {
                     Outcome::HeadLive => {
-                        if self.proto.abort_cs_r(rid, &mut self.fx) {
-                            let st = self.locks.get_mut(&rid).unwrap();
-                            st.queue.pop_front();
-                            st.requested = false;
+                        if self.abort_head(rid) {
                             self.counters.client_aborts += 1;
-                            self.dispatch_effects();
                             self.send_client(idx, ServerMsg::Aborted { rid, req });
                             self.pump_rid(rid);
                         } else {
-                            // The grant beat the abort: either the entered
-                            // effect is about to surface or the protocol is
-                            // mid-handoff. Mark the waiter so the grant is
-                            // released on arrival instead of orphaned, and
-                            // tell the client its abort came too late.
-                            self.locks.get_mut(&rid).unwrap().queue[0].abandoned = true;
-                            self.dispatch_effects();
+                            // The grant beat the abort: tell the client its
+                            // abort came too late.
                             self.counters.rejects += 1;
                             self.send_client(
                                 idx,
@@ -636,13 +627,48 @@ where
         self.dispatch_effects();
     }
 
+    /// Withdraws the outstanding protocol request of `rid`'s head
+    /// waiter, whose client aborted it or went away, and runs the
+    /// effects. Returns whether the stack took the abort; the head is
+    /// then popped here. Otherwise the grant beat the abort — its
+    /// entered effect is about to surface or the protocol is
+    /// mid-handoff — and the head is marked so the grant is released on
+    /// arrival instead of orphaned.
+    fn abort_head(&mut self, rid: ResourceId) -> bool {
+        let aborted = self.proto.abort_cs_r(rid, &mut self.fx);
+        let st = self
+            .locks
+            .get_mut(&rid)
+            .expect("a head with a live request has a lock entry");
+        if aborted {
+            st.queue.pop_front();
+            st.requested = false;
+        } else {
+            st.queue[0].abandoned = true;
+        }
+        // The stack reports a taken abort among its deadline aborts; it is
+        // settled already, and must not pop the next waiter.
+        self.dispatch_effects_except(aborted.then_some(rid));
+        aborted
+    }
+
     /// Runs protocol effects to completion: route sends to peer links,
     /// turn entered-CS events into client grants, and surface
     /// deadline-aborted requests.
     fn dispatch_effects(&mut self) {
+        self.dispatch_effects_except(None);
+    }
+
+    /// [`Self::dispatch_effects`], except that the first drain of
+    /// aborted resources skips `settled`, an abort the node made and
+    /// handled itself.
+    fn dispatch_effects_except(&mut self, mut settled: Option<ResourceId>) {
         loop {
             let (sends, entered) = self.fx.drain();
-            let aborted = self.proto.drain_aborted_resources();
+            let mut aborted = self.proto.drain_aborted_resources();
+            if let Some(rid) = settled.take() {
+                aborted.retain(|&r| r != rid);
+            }
             if sends.is_empty() && entered.is_empty() && aborted.is_empty() {
                 break;
             }
@@ -874,15 +900,7 @@ where
                 self.dispatch_effects();
             }
             if head_live {
-                if self.proto.abort_cs_r(rid, &mut self.fx) {
-                    let st = self.locks.get_mut(&rid).unwrap();
-                    st.queue.pop_front();
-                    st.requested = false;
-                    self.dispatch_effects();
-                } else {
-                    self.locks.get_mut(&rid).unwrap().queue[0].abandoned = true;
-                    self.dispatch_effects();
-                }
+                self.abort_head(rid);
             }
             self.pump_rid(rid);
         }

@@ -61,19 +61,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod delay;
 pub mod metrics;
 pub mod partition;
+pub mod scheduler;
 pub mod sim;
 mod sites;
 pub mod timer_wheel;
 pub mod trace;
 
-pub use calendar::{CalendarScheduler, EventQueue, HeapScheduler, Scheduler, SchedulerKind, Timed};
 pub use delay::DelayModel;
 pub use metrics::{CsRecord, Metrics};
 pub use partition::PartitionModel;
+pub use scheduler::{EventQueue, HeapScheduler, Scheduler, SchedulerKind, Timed};
 pub use sim::{RetryPolicy, SimConfig, Simulator};
 pub use timer_wheel::WheelScheduler;
 pub use trace::{Trace, TraceEvent};

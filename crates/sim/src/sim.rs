@@ -1,9 +1,9 @@
 //! The discrete-event simulation engine.
 
-use crate::calendar::{EventQueue, Scheduler, SchedulerKind, Timed};
 use crate::delay::DelayModel;
 use crate::metrics::{CsRecord, Metrics};
 use crate::partition::PartitionModel;
+use crate::scheduler::{EventQueue, Scheduler, SchedulerKind, Timed};
 use crate::sites::SiteStates;
 use crate::trace::{Trace, TraceEvent};
 use qmx_core::{
@@ -73,7 +73,7 @@ pub struct SimConfig {
     pub retry: Option<RetryPolicy>,
     /// Which event-scheduler implementation orders the future-event
     /// set. Both produce byte-identical executions (CI enforces it);
-    /// the calendar queue is the fast default, the heap the reference.
+    /// the timer wheel is the fast default, the heap the reference.
     pub scheduler: SchedulerKind,
     /// RNG seed; runs are fully deterministic given the same seed.
     pub seed: u64,
@@ -91,7 +91,7 @@ impl Default for SimConfig {
             deadline: None,
             retry: None,
             // From `QMX_SCHEDULER` when set (the CI differential gate),
-            // otherwise the calendar queue.
+            // otherwise the timer wheel.
             scheduler: SchedulerKind::default(),
             seed: 0xC0FFEE,
         }
@@ -115,8 +115,8 @@ enum EventKind<M> {
 }
 
 /// What the scheduler actually stores and scans: the `(time, seq)`
-/// total-order pair plus the payload's slab index. Calendar/wheel bucket
-/// scans and heap sifts touch only these 24 bytes; the `EventKind`
+/// total-order pair plus the payload's slab index. Wheel chain scans
+/// and heap sifts touch only these 24 bytes; the `EventKind`
 /// payload (with its message body) sits untouched in the simulator's
 /// slab until the event is popped.
 #[derive(Clone, Copy)]
@@ -143,7 +143,7 @@ impl Ord for EventKey {
     }
 }
 
-// The scheduling key for the calendar queue and timer wheel; must (and
+// The scheduling key for the timer wheel; must (and
 // does) agree with `Ord` above — see the `Timed` contract.
 impl Timed for EventKey {
     fn time(&self) -> u64 {
@@ -1756,9 +1756,9 @@ mod tests {
     /// In-process differential gate: the same fault-heavy scenario must
     /// produce the identical execution under both schedulers — metrics,
     /// trace, everything. (CI additionally runs the whole golden-counter
-    /// suite under `QMX_SCHEDULER=heap` and `=calendar` and diffs.)
+    /// suite under `QMX_SCHEDULER=heap` and `=wheel` and diffs.)
     #[test]
-    fn heap_and_calendar_schedulers_replay_identically() {
+    fn heap_and_wheel_schedulers_replay_identically() {
         let run = |scheduler: SchedulerKind| {
             let cfg = SimConfig {
                 delay: DelayModel::Exponential { mean: 700 },
@@ -1788,12 +1788,10 @@ mod tests {
             )
         };
         let heap = run(SchedulerKind::Heap);
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Wheel] {
-            let other = run(kind);
-            assert_eq!(heap.0, other.0, "event counts diverged under {kind:?}");
-            assert_eq!(heap.1, other.1, "metrics diverged under {kind:?}");
-            assert_eq!(heap.2, other.2, "traces diverged under {kind:?}");
-        }
+        let wheel = run(SchedulerKind::Wheel);
+        assert_eq!(heap.0, wheel.0, "event counts diverged");
+        assert_eq!(heap.1, wheel.1, "metrics diverged");
+        assert_eq!(heap.2, wheel.2, "traces diverged");
     }
 
     /// Bulk-loaded arrivals assign sequence numbers in slice order, so
@@ -1803,11 +1801,7 @@ mod tests {
         let arrivals: Vec<(SiteId, u64)> = (0..5u32)
             .flat_map(|i| (0..8u64).map(move |r| (SiteId(i), r * 1_100 + 13 * i as u64)))
             .collect();
-        for scheduler in [
-            SchedulerKind::Heap,
-            SchedulerKind::Calendar,
-            SchedulerKind::Wheel,
-        ] {
+        for scheduler in [SchedulerKind::Heap, SchedulerKind::Wheel] {
             let cfg = || SimConfig {
                 delay: DelayModel::Exponential { mean: 400 },
                 seed: 5,

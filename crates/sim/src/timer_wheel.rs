@@ -1,22 +1,20 @@
-//! Hierarchical timer wheel: the large-N event scheduler.
+//! Hierarchical timer wheel: the simulator's default event scheduler.
 //!
-//! The third [`Scheduler`] implementation, selected by
-//! [`SchedulerKind::Wheel`](crate::SchedulerKind). The calendar queue's
-//! pop scans a whole day bucket (and a whole lap when sparse); at
-//! N = 10⁵ sites the future-event set holds hundreds of thousands of
-//! detector heartbeat/lease ticks and request deadlines, and those scans
-//! are the top profile line. The wheel replaces them with bitmap
-//! arithmetic: each of `LEVELS` levels holds `SLOTS` slots of width
-//! `SLOTS^level` ticks, a `u64` occupancy bitmap per level turns
-//! "earliest non-empty slot" into one `trailing_zeros`, and a pop either
-//! reads a level-0 slot (whose items all share one exact time — only the
-//! `seq` tie-break needs a scan) or cascades one higher-level slot down.
-//! Every item cascades at most `LEVELS` times over its lifetime, so
-//! push and pop are O(1) amortized with no per-pop lap scans.
+//! The fast [`Scheduler`] implementation, selected by
+//! [`SchedulerKind::Wheel`](crate::SchedulerKind). Each of `LEVELS`
+//! levels holds `SLOTS` slots of width `SLOTS^level` ticks, a `u64`
+//! occupancy bitmap per level turns "earliest non-empty slot" into one
+//! `trailing_zeros`, and a pop either reads a level-0 slot (whose items
+//! all share one exact time — only the `seq` tie-break needs a scan) or
+//! cascades one higher-level slot down. Every item cascades at most
+//! `LEVELS` times over its lifetime, so push and pop are O(1) amortized
+//! with no per-pop scans of unrelated items — from a 9-site contended
+//! run to the hundreds of thousands of heartbeat, lease and deadline
+//! ticks queued at N = 10⁵ sites.
 //!
-//! **Determinism contract** (same as the calendar): pops return the
-//! exact minimum by `(time, seq)`, so replays are byte-identical across
-//! heap, calendar, and wheel scheduling. Slot coordinates are absolute
+//! **Determinism contract** (same as the heap): pops return the exact
+//! minimum by `(time, seq)`, so replays are byte-identical across heap
+//! and wheel scheduling. Slot coordinates are absolute
 //! (`(time >> 6·level) & 63`), derived only from item times and the
 //! monotone pop cursor — never from wall-clock state.
 //!
@@ -29,7 +27,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::calendar::{Scheduler, Timed};
+use crate::scheduler::{Scheduler, Timed};
 
 /// Bits per level: each level has `2^SLOT_BITS` slots.
 const SLOT_BITS: u32 = 6;
@@ -40,8 +38,7 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// largest in-repo delay scripts (1e8-tick detection windows) before the
 /// overflow heap is involved at all.
 const LEVELS: usize = 5;
-/// Chain terminator / empty slot marker (shared arena idiom with the
-/// calendar queue).
+/// Chain terminator / empty slot marker.
 const NONE: u32 = u32::MAX;
 
 /// Index of the wheel level an item at `time` belongs to, given the
@@ -65,11 +62,10 @@ fn slot_of(time: u64, level: usize) -> usize {
 
 /// The hierarchical timer-wheel scheduler.
 ///
-/// Storage is the same slot arena as
-/// [`CalendarScheduler`](crate::CalendarScheduler): items live in one flat `slots` array,
-/// each (level, slot) pair heads an intrusive singly linked chain
-/// through the parallel `next` array, and freed indices recycle through
-/// a free list — steady state allocates nothing.
+/// Storage is a slot arena: items live in one flat `slots` array, each
+/// (level, slot) pair heads an intrusive singly linked chain through the
+/// parallel `next` array, and freed indices recycle through a free list
+/// — steady state allocates nothing.
 ///
 /// Invariants (all consequences of "the cursor never passes the minimum
 /// wheel item"):
@@ -317,7 +313,7 @@ impl<T: Timed + Ord> Scheduler<T> for WheelScheduler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calendar::{CalendarScheduler, HeapScheduler};
+    use crate::scheduler::HeapScheduler;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -344,35 +340,26 @@ mod tests {
         out
     }
 
+    /// Differential under the simulator-shaped workload (pops
+    /// interleaved with pushes at ever-later times, ties, far timers):
+    /// the wheel must emit the byte-identical pop sequence as the
+    /// reference heap.
     #[test]
-    fn wheel_drains_in_time_seq_order() {
-        let mut q = WheelScheduler::with_capacity(8);
-        for (time, seq) in [(500, 1), (500, 2), (3, 3), (70_000, 4), (1024, 5), (500, 6)] {
-            q.push(Item { time, seq });
-        }
-        let order: Vec<(u64, u64)> = drain(&mut q).iter().map(|i| (i.time, i.seq)).collect();
-        assert_eq!(
-            order,
-            vec![(3, 3), (500, 1), (500, 2), (500, 6), (1024, 5), (70_000, 4)]
-        );
-    }
-
-    /// Three-way differential under the simulator-shaped workload: the
-    /// wheel must emit the byte-identical pop sequence as the reference
-    /// heap and the calendar queue.
-    #[test]
-    fn wheel_matches_heap_and_calendar_differentially() {
+    fn wheel_matches_heap_differentially() {
         let mut rng = StdRng::seed_from_u64(0xCA1E5DA2);
         let mut heap = HeapScheduler::with_capacity(16);
-        let mut cal = CalendarScheduler::with_capacity(16);
         let mut wheel = WheelScheduler::with_capacity(16);
         let mut now = 0u64;
         let mut seq = 0u64;
         let mut queued = 0usize;
         for _ in 0..20_000 {
+            // Bias towards pushes while small, pops while large, so the
+            // queue sweeps through growth and drain phases.
             let push = queued < 4 || (queued < 600 && rng.gen_bool(0.55));
             if push {
                 seq += 1;
+                // Mostly clustered near now + T, occasionally far out
+                // (timer-like), occasionally at exactly `now` (tie-heavy).
                 let dt = match rng.gen_range(0..10) {
                     0 => 0,
                     1..=7 => rng.gen_range(800..1200),
@@ -384,39 +371,17 @@ mod tests {
                     seq,
                 };
                 heap.push(item);
-                cal.push(item);
                 wheel.push(item);
                 queued += 1;
             } else {
                 let a = heap.pop();
-                let b = cal.pop();
-                let c = wheel.pop();
-                assert_eq!(a, b, "heap and calendar diverged");
-                assert_eq!(a, c, "heap and wheel diverged");
+                let b = wheel.pop();
+                assert_eq!(a, b, "heap and wheel diverged");
                 now = a.expect("queued > 0").time;
                 queued -= 1;
             }
         }
         assert_eq!(drain(&mut heap), drain(&mut wheel));
-    }
-
-    #[test]
-    fn wheel_bulk_load_matches_sequential_pushes() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let items: Vec<Item> = (1..=5_000)
-            .map(|seq| Item {
-                time: rng.gen_range(0..200_000),
-                seq,
-            })
-            .collect();
-        let mut pushed = WheelScheduler::with_capacity(16);
-        let mut loaded = WheelScheduler::with_capacity(16);
-        for &it in &items {
-            pushed.push(it);
-        }
-        loaded.bulk_load(items.clone());
-        assert_eq!(loaded.len(), items.len());
-        assert_eq!(drain(&mut pushed), drain(&mut loaded));
     }
 
     /// Items beyond the 2^30-tick top-level block go to the overflow
@@ -495,26 +460,6 @@ mod tests {
         }
         let popped: Vec<u64> = drain(&mut q).iter().map(|i| i.time).collect();
         assert_eq!(popped, times);
-    }
-
-    /// The scheduler contract tolerates pushes behind the cursor; they
-    /// pop first without disturbing wheel order.
-    #[test]
-    fn push_behind_cursor_pops_first() {
-        let mut q = WheelScheduler::with_capacity(8);
-        q.push(Item {
-            time: 1_000,
-            seq: 1,
-        });
-        q.push(Item {
-            time: 2_000,
-            seq: 2,
-        });
-        assert_eq!(q.pop().map(|i| i.seq), Some(1));
-        q.push(Item { time: 500, seq: 3 }); // behind the cursor
-        assert_eq!(q.pop().map(|i| i.seq), Some(3));
-        assert_eq!(q.pop().map(|i| i.seq), Some(2));
-        assert!(q.pop().is_none());
     }
 
     /// A time step that crosses a high-level coordinate boundary by one

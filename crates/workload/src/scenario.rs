@@ -218,7 +218,7 @@ pub struct Scenario {
     /// failure models and is never useful; leave it `None` there.
     pub oracle_notices: Option<bool>,
     /// Event-scheduler implementation for the simulator (defaults from
-    /// `QMX_SCHEDULER`, falling back to the calendar queue). Reports are
+    /// `QMX_SCHEDULER`, falling back to the timer wheel). Reports are
     /// byte-identical for either kind; CI's differential gate enforces it.
     pub scheduler: SchedulerKind,
     /// When `Some`, the run is a *multi-resource* experiment: every site

@@ -179,6 +179,56 @@ fn client_deadline_abort_mid_wait() {
     release_acked(&mut cluster, holder, 7, h3);
 }
 
+/// Two clients of site 0 queue on one lock, back to back, with no
+/// deadline. 600 us later, while site 0's protocol request for the
+/// first is still out, that client goes away: by an explicit abort or
+/// by dropping its connection (`abort_by_disconnect`). Only the first
+/// request may be withdrawn — the second client is still granted, and
+/// no deadline abort is counted.
+fn head_withdrawal_spares_the_next_waiter(abort_by_disconnect: bool) -> NodeCounters {
+    let mut cluster = LoopCluster::new(ClusterConfig::ring_majority(3));
+    cluster.run_for(50_000);
+    let a = cluster.add_client(0);
+    let b = cluster.add_client(0);
+    expect_welcome(&mut cluster, a);
+    expect_welcome(&mut cluster, b);
+
+    let ra = cluster.client(a).acquire(ResourceId(1), None);
+    let rb = cluster.client(b).acquire(ResourceId(1), None);
+    cluster.run_for(600);
+    if abort_by_disconnect {
+        cluster.disconnect(a);
+    } else {
+        cluster.client(a).abort(ResourceId(1), ra);
+        match wait_event(&mut cluster, a, 1_000_000) {
+            ClientEvent::Aborted { rid, req } => assert_eq!((rid, req), (ResourceId(1), ra)),
+            other => panic!("expected the abort ack, got {other:?}"),
+        }
+    }
+    match wait_event(&mut cluster, b, 5_000_000) {
+        ClientEvent::Granted { rid, req } => assert_eq!((rid, req), (ResourceId(1), rb)),
+        other => panic!("the next waiter must be granted, got {other:?}"),
+    }
+    release_acked(&mut cluster, b, 1, rb);
+    assert!(cluster.node(0).unwrap().quiescent());
+    cluster.counters(0)
+}
+
+#[test]
+fn client_abort_of_live_request_spares_the_next_waiter() {
+    let c = head_withdrawal_spares_the_next_waiter(false);
+    assert_eq!((c.client_aborts, c.deadline_aborts), (1, 0));
+    assert_eq!((c.grants, c.releases, c.rejects), (1, 1, 0));
+}
+
+#[test]
+fn disconnect_with_live_request_spares_the_next_waiter() {
+    let c = head_withdrawal_spares_the_next_waiter(true);
+    assert_eq!((c.client_aborts, c.deadline_aborts), (0, 0));
+    assert_eq!((c.grants, c.releases, c.disconnect_releases), (1, 1, 0));
+    assert_eq!(c.sessions_closed, 1);
+}
+
 #[test]
 fn surviving_majority_grants_after_site_failure() {
     let mut cluster = LoopCluster::new(ClusterConfig::ring_majority(5));

@@ -156,9 +156,9 @@ impl<C: Conn> ClientCore<C> {
             self.dead = true;
         }
         loop {
-            match self.fb.next_frame() {
-                Ok(Some(frame)) => match ServerMsg::from_bytes(&frame) {
-                    Ok(msg) => self.events.push_back(self.translate(msg)),
+            match self.fb.next_frame_ref() {
+                Ok(Some(frame)) => match ServerMsg::from_bytes(frame) {
+                    Ok(msg) => self.events.push_back(translate(msg)),
                     Err(_) => {
                         self.dead = true;
                         break;
@@ -176,16 +176,6 @@ impl<C: Conn> ClientCore<C> {
         }
         if self.dead {
             self.mark_disconnected();
-        }
-    }
-
-    fn translate(&self, msg: ServerMsg) -> ClientEvent {
-        match msg {
-            ServerMsg::Welcome { site } => ClientEvent::Welcome { site },
-            ServerMsg::Granted { rid, req } => ClientEvent::Granted { rid, req },
-            ServerMsg::Released { rid, req } => ClientEvent::Released { rid, req },
-            ServerMsg::Aborted { rid, req } => ClientEvent::Aborted { rid, req },
-            ServerMsg::Rejected { rid, req, reason } => ClientEvent::Rejected { rid, req, reason },
         }
     }
 
@@ -213,5 +203,15 @@ impl<C: Conn> ClientCore<C> {
             out.push(ev);
         }
         out
+    }
+}
+
+fn translate(msg: ServerMsg) -> ClientEvent {
+    match msg {
+        ServerMsg::Welcome { site } => ClientEvent::Welcome { site },
+        ServerMsg::Granted { rid, req } => ClientEvent::Granted { rid, req },
+        ServerMsg::Released { rid, req } => ClientEvent::Released { rid, req },
+        ServerMsg::Aborted { rid, req } => ClientEvent::Aborted { rid, req },
+        ServerMsg::Rejected { rid, req, reason } => ClientEvent::Rejected { rid, req, reason },
     }
 }

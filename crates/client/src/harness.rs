@@ -164,6 +164,12 @@ impl LoopCluster {
         self.nodes[site as usize].as_ref()
     }
 
+    /// The node serving `site`, if alive, to poll by hand between
+    /// [`run_for`](Self::run_for) calls.
+    pub fn node_mut(&mut self, site: u32) -> Option<&mut Node<LoopTransport, ServeStack>> {
+        self.nodes[site as usize].as_mut()
+    }
+
     /// Counters of `site`'s node (panics if the site is down).
     pub fn counters(&self, site: u32) -> NodeCounters {
         self.nodes[site as usize]

@@ -283,6 +283,8 @@ impl PeerState {
 #[derive(Clone)]
 pub struct Detector<P: Protocol> {
     inner: P,
+    /// Scratch for the inner protocol's effects, empty between calls.
+    inner_fx: Effects<P::Msg>,
     cfg: DetectorConfig,
     /// Monitored sites, in beat order.
     peers: Vec<SiteId>,
@@ -325,6 +327,7 @@ impl<P: Protocol> Detector<P> {
         let due = by_site.iter().map(|s| s.deadline(cfg.hb_timeout)).collect();
         Detector {
             inner,
+            inner_fx: Effects::new(),
             cfg,
             peers,
             now: 0,
@@ -358,22 +361,21 @@ impl<P: Protocol> Detector<P> {
         self.counters
     }
 
-    /// Runs `f` against the inner protocol with a fresh inner effects
+    /// Runs `f` against the inner protocol with the scratch effects
     /// buffer, then re-wraps the produced sends as [`HbMsg::App`].
-    fn with_inner(
+    fn with_inner<R>(
         &mut self,
         fx: &mut Effects<HbMsg<P::Msg>>,
-        f: impl FnOnce(&mut P, &mut Effects<P::Msg>),
-    ) {
-        let mut inner_fx = Effects::new();
-        f(&mut self.inner, &mut inner_fx);
-        let (sends, entered) = inner_fx.drain();
-        for (to, msg) in sends {
+        f: impl FnOnce(&mut P, &mut Effects<P::Msg>) -> R,
+    ) -> R {
+        let r = f(&mut self.inner, &mut self.inner_fx);
+        for (to, msg) in self.inner_fx.drain_sends() {
             fx.send(to, HbMsg::App(msg));
         }
-        for rid in entered {
+        for rid in self.inner_fx.drain_entered() {
             fx.enter_cs_r(rid);
         }
+        r
     }
 
     /// Grows the table to cover `site`.
@@ -635,9 +637,7 @@ impl<P: Protocol> Protocol for Detector<P> {
     }
 
     fn abort_cs(&mut self, fx: &mut Effects<Self::Msg>) -> bool {
-        let mut aborted = false;
-        self.with_inner(fx, |p, ifx| aborted = p.abort_cs(ifx));
-        aborted
+        self.with_inner(fx, |p, ifx| p.abort_cs(ifx))
     }
 
     fn abortable(&self) -> bool {
@@ -661,9 +661,7 @@ impl<P: Protocol> Protocol for Detector<P> {
     }
 
     fn abort_cs_r(&mut self, rid: ResourceId, fx: &mut Effects<Self::Msg>) -> bool {
-        let mut aborted = false;
-        self.with_inner(fx, |p, ifx| aborted = p.abort_cs_r(rid, ifx));
-        aborted
+        self.with_inner(fx, |p, ifx| p.abort_cs_r(rid, ifx))
     }
 
     fn in_cs_r(&self, rid: ResourceId) -> bool {

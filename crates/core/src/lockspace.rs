@@ -83,10 +83,12 @@ pub type ShardFactory<P> = Arc<dyn Fn(ResourceId) -> P + Send + Sync>;
 /// [`release_cs_r`](Protocol::release_cs_r), …), and stack transport /
 /// detector wrappers *outside* so they are shared per link.
 #[derive(Clone)]
-pub struct LockSpace<P> {
+pub struct LockSpace<P: Protocol> {
     site: SiteId,
     factory: ShardFactory<P>,
     shards: BTreeMap<u32, P>,
+    /// Scratch for a shard's effects, empty between calls.
+    shard_fx: Effects<P::Msg>,
     /// Driver clock, stamped onto shards lazily (on touch).
     now: u64,
     incarnation: u64,
@@ -117,6 +119,7 @@ impl<P: Protocol> LockSpace<P> {
             site,
             factory,
             shards: BTreeMap::new(),
+            shard_fx: Effects::new(),
             now: 0,
             incarnation: 0,
             peer_universe: None,
@@ -211,22 +214,23 @@ impl<P: Protocol> LockSpace<P> {
         fx: &mut Effects<ResMsg<P::Msg>>,
         f: impl FnOnce(&mut P, &mut Effects<P::Msg>),
     ) {
-        let mut inner_fx = Effects::new();
+        // The scratch buffer is lent out while the shard borrows `self`.
+        let mut shard_fx = std::mem::take(&mut self.shard_fx);
         let shard = self.ensure(rid);
         let before = shard.abort_counters();
-        f(shard, &mut inner_fx);
+        f(shard, &mut shard_fx);
         let after = shard.abort_counters();
         let next = shard.next_timer();
         if before != after {
             self.note_aborts(rid.0, before.unwrap_or_default(), after.unwrap_or_default());
         }
-        let (sends, entered) = inner_fx.drain();
-        for (to, body) in sends {
+        for (to, body) in shard_fx.drain_sends() {
             fx.send(to, ResMsg { rid, body });
         }
-        for _ in entered {
+        for _ in shard_fx.drain_entered() {
             fx.enter_cs_r(rid);
         }
+        self.shard_fx = shard_fx;
         self.reindex_timer(rid.0, next);
     }
 

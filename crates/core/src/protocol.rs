@@ -144,7 +144,11 @@ impl fmt::Display for ResourceId {
 /// entered-resource list (single-resource protocols report at most one entry,
 /// always [`ResourceId::SOLO`]; a lock space may admit several resources in
 /// one step, e.g. when a reliable link delivers a reordered prefix).
-#[derive(Debug)]
+///
+/// A wrapper layer keeps one `Effects` of its inner protocol's messages as
+/// scratch and empties it before each call returns, so cloning the layer
+/// clones an empty buffer.
+#[derive(Debug, Clone)]
 pub struct Effects<M> {
     sends: Vec<(SiteId, M)>,
     entered: Vec<ResourceId>,

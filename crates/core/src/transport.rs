@@ -247,6 +247,8 @@ impl<M> LinkState<M> {
 #[derive(Clone)]
 pub struct Reliable<P: Protocol> {
     inner: P,
+    /// Scratch for the inner protocol's effects, empty between calls.
+    inner_fx: Effects<P::Msg>,
     cfg: TransportConfig,
     now: u64,
     /// This site's boot incarnation; all send epochs live in
@@ -270,6 +272,7 @@ impl<P: Protocol> Reliable<P> {
     pub fn new(inner: P, cfg: TransportConfig) -> Self {
         Reliable {
             inner,
+            inner_fx: Effects::new(),
             cfg,
             now: 0,
             incarnation: 0,
@@ -313,14 +316,26 @@ impl<P: Protocol> Reliable<P> {
             .fold(None, |due, l| earliest(due, l.retry_at));
     }
 
-    /// Converts queued inner-protocol sends into sequenced data packets.
-    fn wrap_sends(&mut self, inner_fx: &mut Effects<P::Msg>, fx: &mut Effects<Packet<P::Msg>>) {
-        let (sends, entered) = inner_fx.drain();
-        for rid in entered {
+    /// Runs `f` against the inner protocol with the scratch effects
+    /// buffer, then wraps what it produced (see [`Self::wrap_sends`]).
+    fn with_inner<R>(
+        &mut self,
+        fx: &mut Effects<Packet<P::Msg>>,
+        f: impl FnOnce(&mut P, &mut Effects<P::Msg>) -> R,
+    ) -> R {
+        let r = f(&mut self.inner, &mut self.inner_fx);
+        self.wrap_sends(fx);
+        r
+    }
+
+    /// Empties the scratch effects buffer: CS entries pass through, sends
+    /// become sequenced data packets.
+    fn wrap_sends(&mut self, fx: &mut Effects<Packet<P::Msg>>) {
+        for rid in self.inner_fx.drain_entered() {
             fx.enter_cs_r(rid);
         }
         let base = self.incarnation << 32;
-        for (to, payload) in sends {
+        for (to, payload) in self.inner_fx.drain_sends() {
             let payload = Arc::new(payload);
             let link = self
                 .links
@@ -435,21 +450,15 @@ impl<P: Protocol> Protocol for Reliable<P> {
     }
 
     fn on_start(&mut self, fx: &mut Effects<Self::Msg>) {
-        let mut inner_fx = Effects::new();
-        self.inner.on_start(&mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
+        self.with_inner(fx, |p, ifx| p.on_start(ifx));
     }
 
     fn request_cs(&mut self, fx: &mut Effects<Self::Msg>) {
-        let mut inner_fx = Effects::new();
-        self.inner.request_cs(&mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
+        self.with_inner(fx, |p, ifx| p.request_cs(ifx));
     }
 
     fn release_cs(&mut self, fx: &mut Effects<Self::Msg>) {
-        let mut inner_fx = Effects::new();
-        self.inner.release_cs(&mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
+        self.with_inner(fx, |p, ifx| p.release_cs(ifx));
     }
 
     fn handle(&mut self, from: SiteId, msg: Self::Msg, fx: &mut Effects<Self::Msg>) {
@@ -499,7 +508,6 @@ impl<P: Protocol> Protocol for Reliable<P> {
                 }
 
                 // Deliver the longest in-order prefix to the inner protocol.
-                let mut inner_fx = Effects::new();
                 loop {
                     let link = self
                         .links
@@ -516,9 +524,9 @@ impl<P: Protocol> Protocol for Reliable<P> {
                     // still shares it (in-process drivers).
                     let payload =
                         Arc::try_unwrap(payload).unwrap_or_else(|shared| (*shared).clone());
-                    self.inner.handle(from, payload, &mut inner_fx);
+                    self.inner.handle(from, payload, &mut self.inner_fx);
                 }
-                self.wrap_sends(&mut inner_fx, fx);
+                self.wrap_sends(fx);
 
                 // Ack `from`: piggybacked if a data packet is already headed
                 // there this step, explicit otherwise (covers duplicates too,
@@ -560,9 +568,7 @@ impl<P: Protocol> Protocol for Reliable<P> {
         }
         // Forward the wake-up: the inner protocol may own timers of its own
         // (a request deadline aborts from in here).
-        let mut inner_fx = Effects::new();
-        self.inner.on_timer(now, &mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
+        self.with_inner(fx, |p, ifx| p.on_timer(now, ifx));
     }
 
     fn in_cs(&self) -> bool {
@@ -574,10 +580,7 @@ impl<P: Protocol> Protocol for Reliable<P> {
     }
 
     fn abort_cs(&mut self, fx: &mut Effects<Self::Msg>) -> bool {
-        let mut inner_fx = Effects::new();
-        let aborted = self.inner.abort_cs(&mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
-        aborted
+        self.with_inner(fx, |p, ifx| p.abort_cs(ifx))
     }
 
     fn abortable(&self) -> bool {
@@ -593,22 +596,15 @@ impl<P: Protocol> Protocol for Reliable<P> {
     }
 
     fn request_cs_r(&mut self, rid: ResourceId, fx: &mut Effects<Self::Msg>) {
-        let mut inner_fx = Effects::new();
-        self.inner.request_cs_r(rid, &mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
+        self.with_inner(fx, |p, ifx| p.request_cs_r(rid, ifx));
     }
 
     fn release_cs_r(&mut self, rid: ResourceId, fx: &mut Effects<Self::Msg>) {
-        let mut inner_fx = Effects::new();
-        self.inner.release_cs_r(rid, &mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
+        self.with_inner(fx, |p, ifx| p.release_cs_r(rid, ifx));
     }
 
     fn abort_cs_r(&mut self, rid: ResourceId, fx: &mut Effects<Self::Msg>) -> bool {
-        let mut inner_fx = Effects::new();
-        let aborted = self.inner.abort_cs_r(rid, &mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
-        aborted
+        self.with_inner(fx, |p, ifx| p.abort_cs_r(rid, ifx))
     }
 
     fn in_cs_r(&self, rid: ResourceId) -> bool {
@@ -639,9 +635,7 @@ impl<P: Protocol> Protocol for Reliable<P> {
             link.retry_at = None;
             self.refresh_retry();
         }
-        let mut inner_fx = Effects::new();
-        self.inner.on_site_failure(failed, &mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
+        self.with_inner(fx, |p, ifx| p.on_site_failure(failed, ifx));
     }
 
     fn on_site_suspected(&mut self, site: SiteId, fx: &mut Effects<Self::Msg>) {
@@ -649,18 +643,14 @@ impl<P: Protocol> Protocol for Reliable<P> {
         // NOT abandon unacked packets (that would leave a permanent hole in
         // the peer's sequence space, wedging the link after restoration).
         // Retransmission keeps trying, bounded by `max_retries`.
-        let mut inner_fx = Effects::new();
-        self.inner.on_site_suspected(site, &mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
+        self.with_inner(fx, |p, ifx| p.on_site_suspected(site, ifx));
     }
 
     fn on_site_restored(&mut self, site: SiteId, fx: &mut Effects<Self::Msg>) {
         // Both ends kept their link state (the peer never actually died):
         // pending retransmissions resume on their own. Transport-wise a
         // restoration is a no-op; only the inner protocol reintegrates.
-        let mut inner_fx = Effects::new();
-        self.inner.on_site_restored(site, &mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
+        self.with_inner(fx, |p, ifx| p.on_site_restored(site, ifx));
     }
 
     fn on_peer_rejoined(&mut self, site: SiteId, incarnation: u64, fx: &mut Effects<Self::Msg>) {
@@ -679,7 +669,6 @@ impl<P: Protocol> Protocol for Reliable<P> {
         // guards bare stacks, where incarnation 0 keeps legacy
         // process-every-announcement semantics.)
         let duplicate = incarnation > 0 && incarnation <= link.peer_inc;
-        let mut replay = Effects::new();
         if !duplicate {
             link.peer_inc = incarnation;
             // Send half: restart the window under a NEW epoch, *rebasing*
@@ -706,20 +695,15 @@ impl<P: Protocol> Protocol for Reliable<P> {
             self.refresh_retry();
             for (_, p) in pending {
                 let payload = Arc::try_unwrap(p.payload).unwrap_or_else(|shared| (*shared).clone());
-                replay.send(site, payload);
+                self.inner_fx.send(site, payload);
             }
+            self.wrap_sends(fx);
         }
-        self.wrap_sends(&mut replay, fx);
-        let mut inner_fx = Effects::new();
-        self.inner
-            .on_peer_rejoined(site, incarnation, &mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
+        self.with_inner(fx, |p, ifx| p.on_peer_rejoined(site, incarnation, ifx));
     }
 
     fn on_recover(&mut self, fx: &mut Effects<Self::Msg>) {
-        let mut inner_fx = Effects::new();
-        self.inner.on_recover(&mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
+        self.with_inner(fx, |p, ifx| p.on_recover(ifx));
     }
 
     fn set_incarnation(&mut self, incarnation: u64) {
@@ -739,9 +723,7 @@ impl<P: Protocol> Protocol for Reliable<P> {
     }
 
     fn on_rejoin_complete(&mut self, fx: &mut Effects<Self::Msg>) {
-        let mut inner_fx = Effects::new();
-        self.inner.on_rejoin_complete(&mut inner_fx);
-        self.wrap_sends(&mut inner_fx, fx);
+        self.with_inner(fx, |p, ifx| p.on_rejoin_complete(ifx));
     }
 
     fn transport_counters(&self) -> Option<TransportCounters> {

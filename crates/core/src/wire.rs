@@ -483,6 +483,18 @@ impl<M: Wire> Wire for Packet<M> {
     }
 }
 
+/// Decodes a `Vec<SiteId>` encoding straight into a shared slice, with
+/// one allocation sized from the length prefix and the same errors as
+/// decoding the `Vec`.
+fn decode_sites(r: &mut Reader<'_>) -> Result<Arc<[SiteId]>, WireError> {
+    let len = r.seq_len("Vec", 1)?;
+    let bytes = r.take(len * 4)?;
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|b| SiteId(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+        .collect())
+}
+
 impl<M: Wire> Wire for HbMsg<M> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -508,7 +520,7 @@ impl<M: Wire> Wire for HbMsg<M> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(match r.u8()? {
             0 => HbMsg::Beat {
-                alive: Vec::<SiteId>::decode(r)?.into(),
+                alive: decode_sites(r)?,
                 suspects_you: bool::decode(r)?,
             },
             1 => HbMsg::Rejoin {

@@ -73,7 +73,9 @@ pub fn encode_frame<M: Wire>(out: &mut Vec<u8>, msg: &M) {
 /// Incremental frame reassembly buffer for one connection.
 ///
 /// Feed raw bytes into [`FrameBuf::buf_mut`] (the shape `Conn::recv_bytes`
-/// expects), then drain complete frames with [`FrameBuf::next_frame`].
+/// expects), then drain complete frames with [`FrameBuf::next_frame_ref`],
+/// which lends each payload out of the buffer, or [`FrameBuf::next_frame`],
+/// which copies it.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
     buf: Vec<u8>,
@@ -96,13 +98,16 @@ impl FrameBuf {
         self.buf.len() - self.start
     }
 
-    /// Extracts the next complete frame's payload, if one is fully
+    /// Borrows the next complete frame's payload, if one is fully
     /// buffered. `Ok(None)` means more bytes are needed. An error means
-    /// the stream is corrupt and the connection must be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+    /// the stream is corrupt and the connection must be dropped. The
+    /// space a frame used is reclaimed by the next call, so a reader that
+    /// drains until `Ok(None)` keeps the buffer compact.
+    #[inline]
+    pub fn next_frame_ref(&mut self) -> Result<Option<&[u8]>, FrameError> {
+        self.compact();
         let avail = self.buf.len() - self.start;
         if avail < 4 {
-            self.compact();
             return Ok(None);
         }
         let len_bytes: [u8; 4] = self.buf[self.start..self.start + 4].try_into().unwrap();
@@ -112,13 +117,16 @@ impl FrameBuf {
         }
         let len = len as usize;
         if avail < 4 + len {
-            self.compact();
             return Ok(None);
         }
-        let frame = self.buf[self.start + 4..self.start + 4 + len].to_vec();
-        self.start += 4 + len;
-        self.compact();
-        Ok(Some(frame))
+        let at = self.start + 4;
+        self.start = at + len;
+        Ok(Some(&self.buf[at..at + len]))
+    }
+
+    /// [`FrameBuf::next_frame_ref`], copying the payload out.
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+        Ok(self.next_frame_ref()?.map(<[u8]>::to_vec))
     }
 
     /// Reclaims consumed prefix space once it dominates the buffer.
@@ -151,6 +159,22 @@ mod tests {
         assert_eq!(fb.next_frame().unwrap().as_deref(), Some(&b"world!"[..]));
         assert_eq!(fb.next_frame().unwrap(), None);
         assert_eq!(fb.pending(), 0);
+    }
+
+    #[test]
+    fn borrowed_frames_leave_the_buffer_empty_and_its_capacity_kept() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"one");
+        write_frame(&mut wire, b"two");
+        let mut fb = FrameBuf::new();
+        for _ in 0..3 {
+            fb.buf_mut().extend_from_slice(&wire);
+            assert_eq!(fb.next_frame_ref().unwrap(), Some(&b"one"[..]));
+            assert_eq!(fb.next_frame_ref().unwrap(), Some(&b"two"[..]));
+            assert_eq!(fb.next_frame_ref().unwrap(), None);
+            assert!(fb.buf_mut().is_empty());
+            assert!(fb.buf_mut().capacity() >= wire.len());
+        }
     }
 
     #[test]

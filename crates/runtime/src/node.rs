@@ -156,6 +156,9 @@ pub struct Node<T: Transport, P: Protocol> {
     listener: T::Listener,
     proto: P,
     fx: Effects<P::Msg>,
+    /// Sends and CS entries drained from `fx`, reused across dispatches.
+    sends: Vec<(SiteId, P::Msg)>,
+    entered: Vec<ResourceId>,
     sessions: Vec<Option<Session<T::Conn>>>,
     links: Vec<PeerLink<T::Conn>>,
     locks: BTreeMap<ResourceId, RidState>,
@@ -191,6 +194,8 @@ where
             listener,
             proto,
             fx: Effects::new(),
+            sends: Vec::new(),
+            entered: Vec::new(),
             sessions: Vec::new(),
             links,
             locks: BTreeMap::new(),
@@ -369,39 +374,41 @@ where
 
     fn read_sessions(&mut self) {
         for idx in 0..self.sessions.len() {
-            let alive = matches!(&self.sessions[idx], Some(s) if !s.dead);
-            if !alive {
+            let Some(s) = self.sessions[idx].as_mut().filter(|s| !s.dead) else {
                 continue;
-            }
-            // Pull bytes.
-            let recv_err = {
-                let s = self.sessions[idx].as_mut().unwrap();
-                s.conn.recv_bytes(s.fb.buf_mut()).is_err()
             };
-            // Drain complete frames (including any buffered before an EOF).
+            // Pull bytes. Nothing new means no new frame: every earlier
+            // read drained its complete frames.
+            let recv_err = match s.conn.recv_bytes(s.fb.buf_mut()) {
+                Ok(0) => continue,
+                Ok(_) => false,
+                Err(_) => true,
+            };
+            // Drain complete frames (including any buffered before an
+            // EOF). They borrow the session's buffer, which is lent out
+            // while they are handled.
+            let mut fb = std::mem::take(&mut s.fb);
             loop {
-                let frame = {
-                    let s = self.sessions[idx].as_mut().unwrap();
-                    match s.fb.next_frame() {
-                        Ok(f) => f,
-                        Err(_) => {
+                match fb.next_frame_ref() {
+                    Ok(Some(f)) => {
+                        if !self.handle_frame(idx, f) {
                             self.counters.bad_frames += 1;
                             self.kill_session(idx);
                             break;
                         }
                     }
-                };
-                match frame {
-                    Some(f) => {
-                        if !self.handle_frame(idx, &f) {
-                            self.counters.bad_frames += 1;
-                            self.kill_session(idx);
-                            break;
-                        }
+                    Ok(None) => break,
+                    Err(_) => {
+                        self.counters.bad_frames += 1;
+                        self.kill_session(idx);
+                        break;
                     }
-                    None => break,
                 }
             }
+            self.sessions[idx]
+                .as_mut()
+                .expect("only sweep_dead frees a session slot")
+                .fb = fb;
             if recv_err {
                 self.kill_session(idx);
             }
@@ -663,8 +670,14 @@ where
     /// aborted resources skips `settled`, an abort the node made and
     /// handled itself.
     fn dispatch_effects_except(&mut self, mut settled: Option<ResourceId>) {
+        // The node's buffers keep their capacity from one call to the
+        // next. A grant handled below can dispatch again, and that nested
+        // call finds them lent out and uses fresh ones.
+        let mut sends = std::mem::take(&mut self.sends);
+        let mut entered = std::mem::take(&mut self.entered);
         loop {
-            let (sends, entered) = self.fx.drain();
+            sends.extend(self.fx.drain_sends());
+            entered.extend(self.fx.drain_entered());
             let mut aborted = self.proto.drain_aborted_resources();
             if let Some(rid) = settled.take() {
                 aborted.retain(|&r| r != rid);
@@ -672,16 +685,18 @@ where
             if sends.is_empty() && entered.is_empty() && aborted.is_empty() {
                 break;
             }
-            for (to, msg) in sends {
+            for (to, msg) in sends.drain(..) {
                 self.send_peer(to, &msg);
             }
-            for rid in entered {
+            for rid in entered.drain(..) {
                 self.on_entered(rid);
             }
             for rid in aborted {
                 self.on_deadline_abort(rid);
             }
         }
+        self.sends = sends;
+        self.entered = entered;
     }
 
     fn on_entered(&mut self, rid: ResourceId) {

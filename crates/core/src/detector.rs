@@ -307,6 +307,8 @@ pub struct Detector<P: Protocol> {
     /// This site's boot counter, stamped into outgoing `Rejoin`s.
     incarnation: u64,
     counters: DetectorCounters,
+    /// Scratch for [`Detector::alive_set`], empty between calls.
+    alive_scratch: Vec<SiteId>,
 }
 
 impl<P: Protocol> Detector<P> {
@@ -338,6 +340,7 @@ impl<P: Protocol> Detector<P> {
             rejoin_until: None,
             incarnation: 0,
             counters: DetectorCounters::default(),
+            alive_scratch: Vec::new(),
         }
     }
 
@@ -405,13 +408,19 @@ impl<P: Protocol> Detector<P> {
     }
 
     /// Peers heard from **directly** within the suspicion timeout — the
-    /// vouch list piggybacked on every outgoing beat.
-    fn alive_set(&self) -> Arc<[SiteId]> {
-        self.peers
-            .iter()
-            .copied()
-            .filter(|p| !self.by_site[p.index()].silent(self.cfg.hb_timeout, self.now))
-            .collect()
+    /// vouch list piggybacked on every outgoing beat. Filled into the
+    /// scratch list first, so the shared list is one allocation of the
+    /// exact size.
+    fn alive_set(&mut self) -> Arc<[SiteId]> {
+        self.alive_scratch.extend(
+            self.peers
+                .iter()
+                .copied()
+                .filter(|p| !self.by_site[p.index()].silent(self.cfg.hb_timeout, self.now)),
+        );
+        let alive = Arc::from(&self.alive_scratch[..]);
+        self.alive_scratch.clear();
+        alive
     }
 
     /// Sends one heartbeat round to every peer, each beat carrying the

@@ -1,8 +1,8 @@
 //! The event-driven protocol interface shared by every algorithm.
 //!
 //! A mutual-exclusion algorithm is modeled as a deterministic state machine
-//! per site. Drivers (the discrete-event simulator in `qmx-sim`, the threaded
-//! runtime in `qmx-runtime`, or a handwritten test harness) own the network
+//! per site. Drivers (the discrete-event simulator in `qmx-sim`, the
+//! `Node` of `qmx-runtime`, or a handwritten test harness) own the network
 //! and the application: they call [`Protocol::request_cs`] when the local
 //! application wants the critical section, deliver messages through
 //! [`Protocol::handle`], and call [`Protocol::release_cs`] when the

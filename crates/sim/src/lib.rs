@@ -78,6 +78,6 @@ pub use sim::{RetryPolicy, SimConfig, Simulator};
 pub use timer_wheel::WheelScheduler;
 pub use trace::{Trace, TraceEvent};
 
-// Fault-injection vocabulary (defined in `qmx-core` so the threaded
-// runtime shares the exact same models): re-exported for convenience.
+// Fault-injection vocabulary, defined in `qmx-core` beside the transport
+// it tests: re-exported for convenience.
 pub use qmx_core::{LossModel, Outage};

@@ -111,7 +111,7 @@ enum EventKind<M> {
     Restore { src: SiteId, dst: SiteId },
     Heal,
     Tick { site: SiteId },
-    Abort { site: SiteId, rid: ResourceId },
+    Abort { site: SiteId },
 }
 
 /// What the scheduler actually stores and scans: the `(time, seq)`
@@ -254,8 +254,8 @@ pub struct Simulator<P: Protocol> {
     /// enforcement): a flat matrix for small systems, a sorted map past
     /// [`DENSE_LINKS_MAX`] sites.
     link_clock: LinkClocks,
-    /// Hot per-site driver scalars (timer slot, CS timestamps, crash
-    /// bits), struct-of-arrays — see [`crate::sites`].
+    /// Hot per-site driver scalars (timer slot, crash bits),
+    /// struct-of-arrays — see [`crate::sites`].
     states: SiteStates,
     pristine: BTreeMap<SiteId, P>,
     /// Per-site boot counter: bumped on every recovery and stamped into
@@ -266,7 +266,12 @@ pub struct Simulator<P: Protocol> {
     /// Directed link-level reachability: which ordered pairs are cut.
     partition: PartitionModel,
     faults: LinkFaults,
-    in_cs: Option<SiteId>,
+    /// The closed-loop client's open requests, keyed `(site, resource)`:
+    /// from the arrival that passes the busy check to the CS exit (or the
+    /// site's crash).
+    open: BTreeMap<(u32, u32), OpenRequest>,
+    /// Safety monitor: who holds each resource.
+    holders: BTreeMap<u32, SiteId>,
     metrics: Metrics,
     trace: Option<Trace>,
     started: bool,
@@ -279,20 +284,17 @@ pub struct Simulator<P: Protocol> {
     /// Scripted CS hold times: consumed FIFO, one entry per CS entry,
     /// before falling back to sampling `cfg.hold`.
     hold_script: VecDeque<u64>,
-    /// Per-site retry-attempt counters for the closed-loop client
-    /// ([`SimConfig::retry`]); reset on every successful CS entry.
-    retry_attempts: Vec<u32>,
-    /// Multi-resource overlays, keyed `(site, resource)` — only resources
-    /// other than [`ResourceId::SOLO`] live here, so single-lock runs never
-    /// touch these maps and stay on the struct-of-arrays hot path.
-    requested_at_r: BTreeMap<(u32, u32), u64>,
-    /// CS entry times for non-solo resources (see `requested_at_r`).
-    entered_at_r: BTreeMap<(u32, u32), u64>,
-    /// Safety monitor per non-solo resource: who holds each lock.
-    in_cs_r: BTreeMap<u32, SiteId>,
-    /// Retry-attempt counters per `(site, resource)` for non-solo
-    /// resources.
-    retry_attempts_r: BTreeMap<(u32, u32), u32>,
+}
+
+/// One `(site, resource)` request of the closed-loop client.
+#[derive(Default)]
+struct OpenRequest {
+    /// When the latest arrival (or retry) was issued.
+    requested_at: u64,
+    /// When the site entered the CS; `None` while it waits.
+    entered_at: Option<u64>,
+    /// Retries since the last CS entry ([`SimConfig::retry`]).
+    retries: u32,
 }
 
 impl<P: Protocol> Simulator<P> {
@@ -328,18 +330,14 @@ impl<P: Protocol> Simulator<P> {
             boots: BTreeMap::new(),
             partition: PartitionModel::new(n),
             faults,
-            in_cs: None,
+            open: BTreeMap::new(),
+            holders: BTreeMap::new(),
             metrics: Metrics::new(),
             trace: None,
             started: false,
             scratch: Effects::new(),
             delay_script: VecDeque::new(),
             hold_script: VecDeque::new(),
-            retry_attempts: vec![0; n],
-            requested_at_r: BTreeMap::new(),
-            entered_at_r: BTreeMap::new(),
-            in_cs_r: BTreeMap::new(),
-            retry_attempts_r: BTreeMap::new(),
         }
     }
 
@@ -373,19 +371,10 @@ impl<P: Protocol> Simulator<P> {
         &self.metrics
     }
 
-    /// The site currently in its CS, if any (safety monitor's view).
-    pub fn site_in_cs(&self) -> Option<SiteId> {
-        self.in_cs
-    }
-
-    /// The site currently holding resource `rid`, if any (safety monitor's
-    /// view). For [`ResourceId::SOLO`] this is [`Simulator::site_in_cs`].
-    pub fn site_in_cs_r(&self, rid: ResourceId) -> Option<SiteId> {
-        if rid == ResourceId::SOLO {
-            self.in_cs
-        } else {
-            self.in_cs_r.get(&rid.0).copied()
-        }
+    /// The site currently in the CS of resource `rid`, if any (safety
+    /// monitor's view).
+    pub fn site_in_cs(&self, rid: ResourceId) -> Option<SiteId> {
+        self.holders.get(&rid.0).copied()
     }
 
     /// Whether `site` has crashed.
@@ -424,12 +413,15 @@ impl<P: Protocol> Simulator<P> {
         });
     }
 
-    /// Schedules an application CS request at virtual time `at`.
+    /// Schedules an application CS request for [`ResourceId::SOLO`] at
+    /// virtual time `at`.
     ///
-    /// Requests for sites that are busy (still waiting for or holding a
-    /// previous CS) when the event fires are dropped — arrival processes
-    /// treat a busy site as not generating new demand, keeping "a site
-    /// executes its CS requests sequentially one by one" (§2).
+    /// Requests for sites that are busy on the resource (still waiting for
+    /// or holding a previous CS of it) when the event fires are dropped —
+    /// arrival processes treat a busy site as not generating new demand,
+    /// keeping "a site executes its CS requests sequentially one by one"
+    /// (§2). The check is per `(site, resource)` pair: one site can hold
+    /// several distinct locks of a [`qmx_core::LockSpace`] at once.
     pub fn schedule_request(&mut self, site: SiteId, at: u64) {
         self.push(
             at,
@@ -440,48 +432,31 @@ impl<P: Protocol> Simulator<P> {
         );
     }
 
-    /// Schedules a CS request against a named resource of a multi-resource
-    /// protocol (a [`qmx_core::LockSpace`] stack). The busy check applies
-    /// per `(site, resource)` pair: the same site can hold several distinct
-    /// locks concurrently, but never re-requests one it already waits for.
-    pub fn schedule_request_r(&mut self, site: SiteId, rid: ResourceId, at: u64) {
-        self.push(at, EventKind::Request { site, rid });
-    }
-
-    /// Schedules a whole batch of CS requests (pre-generated arrivals)
-    /// in one bulk load: a single heapify / bucket-fill with one resize
-    /// check instead of per-event pushes. Sequence numbers are assigned
-    /// in slice order, so the execution is byte-identical to calling
-    /// [`Simulator::schedule_request`] once per pair.
+    /// Schedules a whole batch of [`ResourceId::SOLO`] requests
+    /// (pre-generated arrivals) in one bulk load; see
+    /// [`Simulator::schedule_requests_r`].
     pub fn schedule_requests(&mut self, arrivals: &[(SiteId, u64)]) {
-        let mut seq = self.seq;
-        let events: Vec<EventKey> = arrivals
-            .iter()
-            .map(|&(site, at)| {
-                seq += 1;
-                EventKey {
-                    time: at,
-                    seq,
-                    slot: self.payloads.insert(EventKind::Request {
-                        site,
-                        rid: ResourceId::SOLO,
-                    }),
-                }
-            })
-            .collect();
-        self.seq = seq;
-        self.events.bulk_load(events);
+        self.load_requests(
+            arrivals
+                .iter()
+                .map(|&(site, at)| (site, ResourceId::SOLO, at)),
+        );
     }
 
-    /// Bulk-loads multi-resource arrivals, the `(site, resource, at)`
-    /// analogue of [`Simulator::schedule_requests`]. Sequence numbers are
-    /// assigned in slice order, so the run is byte-identical to scheduling
-    /// each arrival with [`Simulator::schedule_request_r`] in turn.
+    /// Schedules a whole batch of `(site, resource, at)` requests
+    /// (pre-generated arrivals) in one bulk load: a single heapify /
+    /// bucket-fill with one resize check instead of per-event pushes.
+    /// Sequence numbers are assigned in slice order, so the execution is
+    /// byte-identical to scheduling each arrival by itself, in turn.
     pub fn schedule_requests_r(&mut self, arrivals: &[(SiteId, ResourceId, u64)]) {
+        self.load_requests(arrivals.iter().copied());
+    }
+
+    /// The bulk load behind both batch schedulers.
+    fn load_requests(&mut self, arrivals: impl Iterator<Item = (SiteId, ResourceId, u64)>) {
         let mut seq = self.seq;
         let events: Vec<EventKey> = arrivals
-            .iter()
-            .map(|&(site, rid, at)| {
+            .map(|(site, rid, at)| {
                 seq += 1;
                 EventKey {
                     time: at,
@@ -494,25 +469,14 @@ impl<P: Protocol> Simulator<P> {
         self.events.bulk_load(events);
     }
 
-    /// Schedules a client-side abort of `site`'s pending CS request at
-    /// virtual time `at` ([`qmx_core::Protocol::abort_cs`]). A no-op if
-    /// the site is not waiting (or parked) when the event fires — a race
-    /// between the abort and an in-flight grant resolves to whichever
-    /// landed first: clean entry or clean abort, never a lost lock.
+    /// Schedules a client-side abort of `site`'s pending
+    /// [`ResourceId::SOLO`] request at virtual time `at`
+    /// ([`qmx_core::Protocol::abort_cs`]). A no-op if the site is not
+    /// waiting (or parked) when the event fires — a race between the abort
+    /// and an in-flight grant resolves to whichever landed first: clean
+    /// entry or clean abort, never a lost lock.
     pub fn schedule_abort(&mut self, site: SiteId, at: u64) {
-        self.push(
-            at,
-            EventKind::Abort {
-                site,
-                rid: ResourceId::SOLO,
-            },
-        );
-    }
-
-    /// Schedules an abort of `site`'s pending request for a named resource
-    /// (see [`Simulator::schedule_abort`] for the race semantics).
-    pub fn schedule_abort_r(&mut self, site: SiteId, rid: ResourceId, at: u64) {
-        self.push(at, EventKind::Abort { site, rid });
+        self.push(at, EventKind::Abort { site });
     }
 
     /// Schedules a crash of `site` at virtual time `at`. When
@@ -585,12 +549,6 @@ impl<P: Protocol> Simulator<P> {
     /// availability analyses).
     pub fn is_link_cut(&self, src: SiteId, dst: SiteId) -> bool {
         self.partition.is_cut(src, dst)
-    }
-
-    /// Whether `site` currently has a restart scheduled (pristine state
-    /// captured and a `Recover` event queued).
-    pub fn has_scheduled_recovery(&self, site: SiteId) -> bool {
-        self.pristine.contains_key(&site)
     }
 
     fn severed(&self, a: SiteId, b: SiteId) -> bool {
@@ -706,30 +664,21 @@ impl<P: Protocol> Simulator<P> {
         }
         self.arm_timer(site);
         for rid in fx.drain_entered() {
-            if rid == ResourceId::SOLO {
-                assert!(
-                    self.in_cs.is_none(),
-                    "MUTUAL EXCLUSION VIOLATED at t={}: {} entered while {:?} is in the CS",
-                    self.now,
-                    site,
-                    self.in_cs
-                );
-                self.in_cs = Some(site);
-                self.retry_attempts[site.index()] = 0;
-                self.states.set_entered_at(site, self.now);
-            } else {
-                let prev = self.in_cs_r.insert(rid.0, site);
-                assert!(
-                    prev.is_none(),
-                    "MUTUAL EXCLUSION VIOLATED at t={} on {}: {} entered while {:?} holds it",
-                    self.now,
-                    rid,
-                    site,
-                    prev
-                );
-                self.retry_attempts_r.remove(&(site.0, rid.0));
-                self.entered_at_r.insert((site.0, rid.0), self.now);
-            }
+            let prev = self.holders.insert(rid.0, site);
+            assert!(
+                prev.is_none(),
+                "MUTUAL EXCLUSION VIOLATED at t={} on {}: {} entered while {:?} holds it",
+                self.now,
+                rid,
+                site,
+                prev
+            );
+            let open = self
+                .open
+                .get_mut(&(site.0, rid.0))
+                .expect("CS entry implies an open request");
+            open.entered_at = Some(self.now);
+            open.retries = 0;
             self.record(TraceEvent::Enter { t: self.now, site });
             let hold = match self.hold_script.pop_front() {
                 Some(h) => h,
@@ -778,18 +727,17 @@ impl<P: Protocol> Simulator<P> {
     /// other request.
     fn maybe_retry(&mut self, site: SiteId, rid: ResourceId) {
         let Some(r) = self.cfg.retry else { return };
-        let attempts = if rid == ResourceId::SOLO {
-            &mut self.retry_attempts[site.index()]
-        } else {
-            self.retry_attempts_r.entry((site.0, rid.0)).or_insert(0)
-        };
-        if *attempts >= r.max_attempts {
+        let open = self
+            .open
+            .get_mut(&(site.0, rid.0))
+            .expect("an aborted request is open");
+        if open.retries >= r.max_attempts {
             return;
         }
-        *attempts += 1;
+        open.retries += 1;
         let exp = r
             .base
-            .saturating_mul(1u64 << (*attempts - 1).min(31))
+            .saturating_mul(1u64 << (open.retries - 1).min(31))
             .min(r.cap.max(1));
         // Equal jitter: uniform over the upper half of the interval keeps
         // contenders spread out without collapsing the backoff entirely.
@@ -833,97 +781,59 @@ impl<P: Protocol> Simulator<P> {
                     return;
                 }
                 let s = &self.sites[site.index()];
-                if rid == ResourceId::SOLO {
-                    if s.in_cs() || s.wants_cs() {
-                        return; // busy: drop the arrival
-                    }
-                    self.states.set_requested_at(site, self.now);
-                } else {
-                    if s.in_cs_r(rid) || s.wants_cs_r(rid) {
-                        return; // busy on this resource: drop the arrival
-                    }
-                    self.requested_at_r.insert((site.0, rid.0), self.now);
+                if s.in_cs_r(rid) || s.wants_cs_r(rid) {
+                    return; // busy on this resource: drop the arrival
                 }
+                // The retry count carries over until the next CS entry.
+                self.open.entry((site.0, rid.0)).or_default().requested_at = self.now;
                 let deadline = self.cfg.deadline.map(|d| self.now + d);
                 self.dispatch(site, |s, fx| {
-                    if rid == ResourceId::SOLO {
-                        if deadline.is_some() {
-                            s.set_deadline(deadline);
-                        }
-                        s.request_cs(fx);
-                    } else {
-                        if deadline.is_some() {
-                            s.set_deadline_r(rid, deadline);
-                        }
-                        s.request_cs_r(rid, fx);
+                    if deadline.is_some() {
+                        s.set_deadline_r(rid, deadline);
                     }
+                    s.request_cs_r(rid, fx);
                 });
             }
             EventKind::Exit { site, rid } => {
                 if self.states.is_crashed(site) {
                     return;
                 }
-                if rid == ResourceId::SOLO {
-                    let Some(entered_at) = self.states.entered_at(site) else {
-                        // Stale exit from a pre-crash incarnation: the site
-                        // crashed inside its CS and has since restarted
-                        // fresh.
-                        return;
-                    };
-                    debug_assert_eq!(self.in_cs, Some(site));
-                    self.in_cs = None;
-                    self.record(TraceEvent::Exit { t: self.now, site });
-                    let rec = CsRecord {
-                        site,
-                        resource: ResourceId::SOLO,
-                        requested_at: self
-                            .states
-                            .requested_at(site)
-                            .expect("exit implies a request"),
-                        entered_at,
-                        exited_at: self.now,
-                    };
-                    self.metrics.record_cs(rec);
-                    self.states.clear_cs_times(site);
-                    self.dispatch(site, |s, fx| s.release_cs(fx));
-                } else {
-                    let Some(entered_at) = self.entered_at_r.remove(&(site.0, rid.0)) else {
-                        return; // stale exit from a pre-crash incarnation
-                    };
-                    debug_assert_eq!(self.in_cs_r.get(&rid.0), Some(&site));
-                    self.in_cs_r.remove(&rid.0);
-                    self.record(TraceEvent::Exit { t: self.now, site });
-                    let rec = CsRecord {
-                        site,
-                        resource: rid,
-                        requested_at: self
-                            .requested_at_r
-                            .remove(&(site.0, rid.0))
-                            .expect("exit implies a request"),
-                        entered_at,
-                        exited_at: self.now,
-                    };
-                    self.metrics.record_cs(rec);
-                    self.dispatch(site, |s, fx| s.release_cs_r(rid, fx));
-                }
+                let key = (site.0, rid.0);
+                let Some(&OpenRequest {
+                    requested_at,
+                    entered_at: Some(entered_at),
+                    ..
+                }) = self.open.get(&key)
+                else {
+                    // Stale exit from a life that crashed inside its CS;
+                    // the next life's request, if any, has not entered
+                    // yet and stays open.
+                    return;
+                };
+                self.open.remove(&key);
+                let holder = self.holders.remove(&rid.0);
+                debug_assert_eq!(holder, Some(site));
+                self.record(TraceEvent::Exit { t: self.now, site });
+                self.metrics.record_cs(CsRecord {
+                    site,
+                    resource: rid,
+                    requested_at,
+                    entered_at,
+                    exited_at: self.now,
+                });
+                self.dispatch(site, |s, fx| s.release_cs_r(rid, fx));
             }
             EventKind::Crash { site } => {
                 if !self.states.set_crashed(site) {
                     return;
                 }
                 self.record(TraceEvent::Crash { t: self.now, site });
-                if self.in_cs == Some(site) {
-                    // The CS dies with the site; the monitor frees the slot
-                    // (the §6 recovery machinery must unblock the others).
-                    self.in_cs = None;
-                }
-                self.states.clear_cs_times(site);
-                // Every per-resource CS and pending request dies with the
-                // site too; pending `Exit` events become stale tombstones.
-                self.in_cs_r.retain(|_, holder| *holder != site);
-                self.requested_at_r.retain(|&(s, _), _| s != site.0);
-                self.entered_at_r.retain(|&(s, _), _| s != site.0);
-                self.retry_attempts_r.retain(|&(s, _), _| s != site.0);
+                // Every CS the site holds dies with it, and the monitor
+                // frees the slot (the §6 recovery machinery must unblock
+                // the others). Its open requests and retry counts die too;
+                // pending `Exit` events become stale tombstones.
+                self.holders.retain(|_, holder| *holder != site);
+                self.open.retain(|&(s, _), _| s != site.0);
                 if self.cfg.oracle_notices {
                     for i in 0..self.sites.len() {
                         let target = SiteId(i as u32);
@@ -1006,16 +916,12 @@ impl<P: Protocol> Simulator<P> {
             EventKind::Restore { src, dst } => {
                 self.partition.restore(src, dst);
             }
-            EventKind::Abort { site, rid } => {
+            EventKind::Abort { site } => {
                 if self.states.is_crashed(site) {
                     return;
                 }
                 self.dispatch(site, |s, fx| {
-                    if rid == ResourceId::SOLO {
-                        let _ = s.abort_cs(fx);
-                    } else {
-                        let _ = s.abort_cs_r(rid, fx);
-                    }
+                    let _ = s.abort_cs_r(ResourceId::SOLO, fx);
                 });
             }
         }
@@ -1089,8 +995,10 @@ impl<P: Protocol + Clone> Simulator<P> {
 mod tests {
     use super::*;
     use qmx_core::{
-        Config, DelayOptimal, Detector, DetectorConfig, MsgKind, Reliable, TransportConfig,
+        Config, DelayOptimal, Detector, DetectorConfig, LockSpace, MsgKind, Reliable,
+        TransportConfig,
     };
+    use std::sync::Arc;
 
     fn full_quorum_sim(n: u32, cfg: SimConfig) -> Simulator<DelayOptimal> {
         let quorum: Vec<SiteId> = (0..n).map(SiteId).collect();
@@ -1172,7 +1080,7 @@ mod tests {
         }
         sim.run_to_quiescence(1_000_000);
         assert_eq!(sim.metrics().completed_cs(), 4);
-        assert_eq!(sim.site_in_cs(), None);
+        assert_eq!(sim.site_in_cs(ResourceId::SOLO), None);
         assert!(!sim.has_pending_events());
     }
 
@@ -1795,11 +1703,16 @@ mod tests {
     }
 
     /// Bulk-loaded arrivals assign sequence numbers in slice order, so
-    /// the run is byte-identical to per-event scheduling.
+    /// the run is byte-identical to per-event scheduling, whether they are
+    /// loaded untagged or tagged with [`ResourceId::SOLO`].
     #[test]
     fn bulk_loaded_arrivals_match_individual_pushes() {
         let arrivals: Vec<(SiteId, u64)> = (0..5u32)
             .flat_map(|i| (0..8u64).map(move |r| (SiteId(i), r * 1_100 + 13 * i as u64)))
+            .collect();
+        let tagged: Vec<(SiteId, ResourceId, u64)> = arrivals
+            .iter()
+            .map(|&(s, t)| (s, ResourceId::SOLO, t))
             .collect();
         for scheduler in [SchedulerKind::Heap, SchedulerKind::Wheel] {
             let cfg = || SimConfig {
@@ -1814,16 +1727,73 @@ mod tests {
             }
             let mut bulk = full_quorum_sim(5, cfg());
             bulk.schedule_requests(&arrivals);
+            let mut bulk_tagged = full_quorum_sim(5, cfg());
+            bulk_tagged.schedule_requests_r(&tagged);
+            let events = one_by_one.run_to_quiescence(10_000_000);
+            assert_eq!(events, bulk.run_to_quiescence(10_000_000));
+            assert_eq!(events, bulk_tagged.run_to_quiescence(10_000_000));
+            let metrics = format!("{:?}", one_by_one.metrics());
+            assert_eq!(metrics, format!("{:?}", bulk.metrics()), "{scheduler:?}");
             assert_eq!(
-                one_by_one.run_to_quiescence(10_000_000),
-                bulk.run_to_quiescence(10_000_000),
-            );
-            assert_eq!(
-                format!("{:?}", one_by_one.metrics()),
-                format!("{:?}", bulk.metrics()),
+                metrics,
+                format!("{:?}", bulk_tagged.metrics()),
                 "{scheduler:?}"
             );
         }
+    }
+
+    /// Resource 0 is an ordinary resource of a lock space: an arrival for
+    /// it is busy only while rid 0 itself is waited for or held, not while
+    /// some other shard is, and the monitor tracks each holder apart.
+    #[test]
+    fn resource_zero_overlaps_another_resource_of_a_lock_space() {
+        let build = || {
+            let quorum: Vec<SiteId> = (0..3).map(SiteId).collect();
+            let mut sim = Simulator::new(
+                (0..3)
+                    .map(|i| {
+                        let quorum = quorum.clone();
+                        LockSpace::new(
+                            SiteId(i),
+                            Arc::new(move |_rid| {
+                                DelayOptimal::new(SiteId(i), quorum.clone(), Config::default())
+                            }),
+                        )
+                    })
+                    .collect(),
+                SimConfig {
+                    hold: DelayModel::Constant(10_000),
+                    ..SimConfig::default()
+                },
+            );
+            // Rid 1 is held over 2T..12T; rid 0 arrives at 3T, inside it.
+            sim.schedule_requests_r(&[
+                (SiteId(0), ResourceId(1), 0),
+                (SiteId(0), ResourceId::SOLO, 3_000),
+            ]);
+            sim
+        };
+        let mut mid = build();
+        mid.run_to_quiescence(8_000);
+        assert_eq!(mid.site_in_cs(ResourceId(1)), Some(SiteId(0)));
+        assert_eq!(mid.site_in_cs(ResourceId::SOLO), Some(SiteId(0)));
+        assert_eq!(mid.site_in_cs(ResourceId(2)), None);
+
+        let mut sim = build();
+        sim.run_to_quiescence(1_000_000);
+        let recs = sim.metrics().records();
+        assert_eq!(recs.len(), 2, "both sections complete: {recs:?}");
+        let (r1, r0) = (recs[0], recs[1]);
+        assert_eq!(
+            (r1.resource, r0.resource),
+            (ResourceId(1), ResourceId::SOLO)
+        );
+        assert!(
+            r0.entered_at < r1.exited_at,
+            "the sections overlap in time: {recs:?}"
+        );
+        assert_eq!(sim.site_in_cs(ResourceId(1)), None);
+        assert_eq!(sim.site_in_cs(ResourceId::SOLO), None);
     }
 
     #[test]
@@ -1935,6 +1905,58 @@ mod tests {
         assert_eq!(sim.metrics().aborts().deadline_aborts, 4);
         assert!(!sim.site(SiteId(0)).wants_cs());
         assert!(!sim.has_pending_events());
+    }
+
+    /// A crash drops the site's open requests with their retry counts, so
+    /// the restarted site gets the whole retry budget again.
+    #[test]
+    fn a_restarted_site_gets_a_fresh_retry_budget() {
+        let cfg = SimConfig {
+            oracle_notices: false,
+            deadline: Some(3_000),
+            retry: Some(RetryPolicy {
+                base: 1_000,
+                cap: 4_000,
+                max_attempts: 3,
+            }),
+            ..SimConfig::default()
+        };
+        let mut sim = full_quorum_sim(2, cfg);
+        sim.schedule_crash(SiteId(1), 0);
+        // The first life spends its three retries well before 100T (see
+        // `retry_attempts_are_capped`).
+        sim.schedule_request(SiteId(0), 10);
+        sim.schedule_crash(SiteId(0), 100_000);
+        sim.schedule_recovery(SiteId(0), 110_000);
+        sim.schedule_request(SiteId(0), 120_000);
+        sim.run_to_quiescence(1_000_000);
+        assert_eq!(sim.metrics().completed_cs(), 0);
+        assert_eq!(sim.metrics().retries(), 6, "three retries per life");
+    }
+
+    /// An `Exit` left over from a life that crashed inside its CS leaves
+    /// the next life's open request alone: that request completes with its
+    /// own request time and its full hold.
+    #[test]
+    fn stale_exit_spares_the_next_lifes_request() {
+        let cfg = SimConfig {
+            oracle_notices: false,
+            hold: DelayModel::Constant(30_000),
+            ..SimConfig::default()
+        };
+        let mut sim = detector_sim(3, cfg);
+        // Entry at 2T, so the first life's exit falls due at 32T.
+        sim.schedule_request(SiteId(0), 0);
+        sim.schedule_crash(SiteId(0), 3_000);
+        sim.schedule_recovery(SiteId(0), 5_000);
+        // Still waiting for its grant when the stale exit fires.
+        sim.schedule_request(SiteId(0), 31_000);
+        sim.run_to_quiescence(200_000);
+        let recs = sim.metrics().records();
+        assert_eq!(recs.len(), 1, "{recs:?}");
+        assert_eq!(recs[0].requested_at, 31_000);
+        assert!(recs[0].entered_at > 32_000, "{recs:?}");
+        assert_eq!(recs[0].exited_at - recs[0].entered_at, 30_000);
     }
 
     #[test]

@@ -1,17 +1,14 @@
 //! Struct-of-arrays per-site driver state.
 //!
-//! The simulator consults a handful of per-site scalars on *every*
-//! event — the timer arming slot, the request/entry timestamps (which
-//! double as the site's state tag: requested ≠ none ⇒ waiting, entered
-//! ≠ none ⇒ in the CS), and the crashed bit. Previously these lived in
-//! three `Vec<Option<u64>>`s (16 bytes per entry, half of it the
-//! discriminant) scattered among the simulator's cold fields; here they
-//! are dense `Vec<u64>` arrays using `u64::MAX` as the *none* sentinel
-//! (8 bytes per entry, no branch on a discriminant) plus the
-//! [`SiteSet`] crash bitset, grouped so the event loop's working set is
-//! a few contiguous arrays. Cold per-site state — pristine protocol
-//! snapshots, boot counters — stays in the simulator's own maps, out of
-//! the hot cache lines.
+//! The simulator consults two per-site facts on *every* event: the timer
+//! arming slot and the crashed bit. They live here as a dense `Vec<u64>`
+//! using `u64::MAX` as the *none* sentinel (8 bytes per entry, no branch
+//! on a discriminant) plus the [`SiteSet`] crash bitset, grouped so the
+//! event loop's working set is two contiguous structures. What only
+//! arrivals, CS entries and exits touch — the client's open requests,
+//! keyed `(site, resource)` — and cold per-site state such as pristine
+//! protocol snapshots and boot counters stay in the simulator's own maps,
+//! out of the hot cache lines.
 //!
 //! The sentinel is safe: virtual times are sums of delays bounded far
 //! below `u64::MAX`, and the horizon convention (`u64::MAX / 2` for
@@ -22,15 +19,11 @@ use qmx_core::{SiteId, SiteSet};
 /// The *none* sentinel for packed timestamp slots.
 const NONE: u64 = u64::MAX;
 
-/// Hot per-site driver state, one dense array per scalar.
+/// Hot per-site driver state, one dense structure per fact.
 #[derive(Debug)]
 pub(crate) struct SiteStates {
     /// Earliest armed wake-up per site; `NONE` = no tick scheduled.
     armed_tick: Vec<u64>,
-    /// When the outstanding CS request arrived; `NONE` = not waiting.
-    requested_at: Vec<u64>,
-    /// When the site entered its CS; `NONE` = not inside.
-    entered_at: Vec<u64>,
     /// Crash bitset (inline up to 256 sites, spills beyond).
     crashed: SiteSet,
 }
@@ -39,8 +32,6 @@ impl SiteStates {
     pub(crate) fn new(n: usize) -> Self {
         SiteStates {
             armed_tick: vec![NONE; n],
-            requested_at: vec![NONE; n],
-            entered_at: vec![NONE; n],
             crashed: SiteSet::new(),
         }
     }
@@ -56,31 +47,6 @@ impl SiteStates {
 
     pub(crate) fn clear_tick(&mut self, site: SiteId) {
         self.armed_tick[site.index()] = NONE;
-    }
-
-    pub(crate) fn requested_at(&self, site: SiteId) -> Option<u64> {
-        let v = self.requested_at[site.index()];
-        (v != NONE).then_some(v)
-    }
-
-    pub(crate) fn set_requested_at(&mut self, site: SiteId, at: u64) {
-        self.requested_at[site.index()] = at;
-    }
-
-    pub(crate) fn entered_at(&self, site: SiteId) -> Option<u64> {
-        let v = self.entered_at[site.index()];
-        (v != NONE).then_some(v)
-    }
-
-    pub(crate) fn set_entered_at(&mut self, site: SiteId, at: u64) {
-        self.entered_at[site.index()] = at;
-    }
-
-    /// Clears both CS timestamps (on exit or crash: the pending round,
-    /// if any, is gone).
-    pub(crate) fn clear_cs_times(&mut self, site: SiteId) {
-        self.requested_at[site.index()] = NONE;
-        self.entered_at[site.index()] = NONE;
     }
 
     pub(crate) fn is_crashed(&self, site: SiteId) -> bool {
@@ -106,15 +72,9 @@ mod tests {
     fn sentinel_round_trips() {
         let mut s = SiteStates::new(3);
         let site = SiteId(1);
-        assert_eq!(s.requested_at(site), None);
-        s.set_requested_at(site, 0); // time zero is a real timestamp
-        assert_eq!(s.requested_at(site), Some(0));
-        s.set_entered_at(site, 42);
-        assert_eq!(s.entered_at(site), Some(42));
-        s.clear_cs_times(site);
-        assert_eq!(s.requested_at(site), None);
-        assert_eq!(s.entered_at(site), None);
         assert_eq!(s.armed_tick(site), None);
+        s.arm_tick(site, 0); // time zero is a real timestamp
+        assert_eq!(s.armed_tick(site), Some(0));
         s.arm_tick(site, 7);
         assert_eq!(s.armed_tick(site), Some(7));
         s.clear_tick(site);

@@ -9,7 +9,7 @@ use qmx_baselines::{
 };
 use qmx_core::{
     Config, DelayOptimal, Detector, DetectorConfig, LockSpace, LossModel, Outage, Protocol,
-    Reliable, SiteId, TransportConfig,
+    Reliable, ResourceId, SiteId, TransportConfig,
 };
 use qmx_quorum::majority::{majority_system, MajorityQuorumSource};
 use qmx_quorum::tree::TreeQuorumSource;
@@ -264,15 +264,6 @@ impl Default for Scenario {
     }
 }
 
-/// A pre-generated request schedule: either classic single-lock arrivals or
-/// resource-tagged arrivals for a lock-space run.
-enum Load<'a> {
-    /// `(site, time)` arrivals against the one implicit lock.
-    Solo(&'a [(SiteId, u64)]),
-    /// `(site, resource, time)` arrivals against a lock space.
-    Spaced(&'a [ResourceArrival]),
-}
-
 impl Scenario {
     /// Runs the scenario to quiescence and reports.
     ///
@@ -303,6 +294,11 @@ impl Scenario {
         if let Some(mix) = &self.mix {
             return self.run_lockspace(mix, &arrivals);
         }
+        // A single-lock run loads every arrival against resource 0.
+        let arrivals: Vec<ResourceArrival> = arrivals
+            .iter()
+            .map(|&(site, at)| (site, ResourceId::SOLO, at))
+            .collect();
         let quorum_based = matches!(
             self.algorithm,
             Algorithm::DelayOptimal | Algorithm::DelayOptimalNoForwarding | Algorithm::Maekawa
@@ -334,7 +330,7 @@ impl Scenario {
                             )
                         })
                         .collect(),
-                    Load::Solo(&arrivals),
+                    &arrivals,
                     k,
                 )
             }
@@ -352,7 +348,7 @@ impl Scenario {
                             )
                         })
                         .collect(),
-                    Load::Solo(&arrivals),
+                    &arrivals,
                     k,
                 )
             }
@@ -368,7 +364,7 @@ impl Scenario {
                             )
                         })
                         .collect(),
-                    Load::Solo(&arrivals),
+                    &arrivals,
                     k,
                 )
             }
@@ -380,7 +376,7 @@ impl Scenario {
                             Maekawa::new(SiteId(i as u32), sys.quorum_of(SiteId(i as u32)).to_vec())
                         })
                         .collect(),
-                    Load::Solo(&arrivals),
+                    &arrivals,
                     k,
                 )
             }
@@ -388,42 +384,42 @@ impl Scenario {
                 (0..n)
                     .map(|i| Lamport::new(SiteId(i as u32), n as u32))
                     .collect(),
-                Load::Solo(&arrivals),
+                &arrivals,
                 k,
             ),
             Algorithm::RicartAgrawala => self.drive(
                 (0..n)
                     .map(|i| RicartAgrawala::new(SiteId(i as u32), n as u32))
                     .collect(),
-                Load::Solo(&arrivals),
+                &arrivals,
                 k,
             ),
             Algorithm::SuzukiKasami => self.drive(
                 (0..n)
                     .map(|i| SuzukiKasami::new(SiteId(i as u32), n as u32))
                     .collect(),
-                Load::Solo(&arrivals),
+                &arrivals,
                 k,
             ),
             Algorithm::Raymond => self.drive(
                 (0..n)
                     .map(|i| Raymond::new(SiteId(i as u32), n as u32))
                     .collect(),
-                Load::Solo(&arrivals),
+                &arrivals,
                 k,
             ),
             Algorithm::SinghalDynamic => self.drive(
                 (0..n)
                     .map(|i| SinghalDynamic::new(SiteId(i as u32), n as u32))
                     .collect(),
-                Load::Solo(&arrivals),
+                &arrivals,
                 k,
             ),
             Algorithm::CarvalhoRoucairol => self.drive(
                 (0..n)
                     .map(|i| CarvalhoRoucairol::new(SiteId(i as u32), n as u32))
                     .collect(),
-                Load::Solo(&arrivals),
+                &arrivals,
                 k,
             ),
         }
@@ -466,13 +462,13 @@ impl Scenario {
                 )
             })
             .collect();
-        self.drive(sites, Load::Spaced(&tagged), k)
+        self.drive(sites, &tagged, k)
     }
 
     fn drive<P: Protocol + Clone>(
         &self,
         sites: Vec<P>,
-        load: Load<'_>,
+        arrivals: &[ResourceArrival],
         quorum_size: f64,
     ) -> RunReport {
         // With a transport config, wrap every site in the reliable layer;
@@ -492,12 +488,12 @@ impl Scenario {
                     .enumerate()
                     .map(|(i, p)| Detector::new(Reliable::new(p, *tcfg), peers_of(i), *dcfg))
                     .collect(),
-                load,
+                arrivals,
                 quorum_size,
             ),
             (Some(tcfg), None) => self.drive_bare(
                 sites.into_iter().map(|p| Reliable::new(p, *tcfg)).collect(),
-                load,
+                arrivals,
                 quorum_size,
             ),
             (None, Some(dcfg)) => self.drive_bare(
@@ -506,17 +502,17 @@ impl Scenario {
                     .enumerate()
                     .map(|(i, p)| Detector::new(p, peers_of(i), *dcfg))
                     .collect(),
-                load,
+                arrivals,
                 quorum_size,
             ),
-            (None, None) => self.drive_bare(sites, load, quorum_size),
+            (None, None) => self.drive_bare(sites, arrivals, quorum_size),
         }
     }
 
     fn drive_bare<P: Protocol + Clone>(
         &self,
         sites: Vec<P>,
-        load: Load<'_>,
+        arrivals: &[ResourceArrival],
         quorum_size: f64,
     ) -> RunReport {
         let mut sim = Simulator::new(
@@ -539,10 +535,7 @@ impl Scenario {
         );
         // Arrivals are pre-generated: load them in one pass (heapify /
         // bucket-fill) instead of one push per event.
-        match load {
-            Load::Solo(arrivals) => sim.schedule_requests(arrivals),
-            Load::Spaced(arrivals) => sim.schedule_requests_r(arrivals),
-        }
+        sim.schedule_requests_r(arrivals);
         for &(s, t) in &self.crashes {
             sim.schedule_crash(s, t);
         }
